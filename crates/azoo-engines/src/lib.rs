@@ -74,9 +74,8 @@ pub use prefilter::{PrefilterEngine, PREFILTER_COVERAGE_GATE};
 pub use profile::Profile;
 pub use report_stats::ReportStats;
 pub use select::{
-    prefilter_gate, select_engine, select_engine_threaded, select_engine_with,
-    select_session_engine, select_session_engine_explained, select_session_engine_threaded,
-    select_session_engine_with, EngineChoice, SelectOpts,
+    prefilter_gate, select_engine, select_session_engine, select_session_engine_explained,
+    select_session_engine_threaded, EngineChoice,
 };
 pub use sheng::{ShengEngine, SHENG_MAX_NFA_STATES};
 pub use sink::{CollectSink, CountSink, NullSink, Report, ReportSink};

@@ -168,56 +168,6 @@ pub fn prefilter_gate(pf: &PrefilterEngine) -> f64 {
     gate.min(0.95)
 }
 
-/// Compile-path options for [`select_engine_with`] /
-/// [`select_session_engine_with`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SelectOpts {
-    /// Worker thread count; 0 and 1 both mean the single-threaded
-    /// portfolio.
-    pub threads: usize,
-    /// Run the `azoo-passes` reduction tier
-    /// ([`azoo_passes::reduce`]) before engine selection. The reduced
-    /// automaton's report stream is byte-identical, so this only
-    /// changes which engine wins and how much state it carries.
-    pub reduce: bool,
-}
-
-/// [`select_engine`] with a [`SelectOpts`] compile path: optional
-/// reduction, then thread-aware portfolio selection.
-///
-/// # Errors
-///
-/// Propagates [`EngineError::Invalid`] if the automaton fails
-/// validation (the *input* automaton — reduction requires a valid
-/// machine and preserves validity).
-pub fn select_engine_with(
-    a: &Automaton,
-    opts: SelectOpts,
-) -> Result<(EngineChoice, Box<dyn Engine>), EngineError> {
-    let (choice, engine) = select_session_engine_with(a, opts)?;
-    Ok((choice, engine))
-}
-
-/// Streaming-capable variant of [`select_engine_with`]; see
-/// [`select_session_engine`].
-///
-/// # Errors
-///
-/// Propagates [`EngineError::Invalid`] if the automaton fails
-/// validation.
-pub fn select_session_engine_with(
-    a: &Automaton,
-    opts: SelectOpts,
-) -> Result<(EngineChoice, Box<dyn SessionEngine>), EngineError> {
-    let threads = opts.threads.max(1);
-    if opts.reduce {
-        preflight(a)?;
-        let (reduced, _) = azoo_passes::reduce(a);
-        return select_session_engine_threaded(&reduced, threads);
-    }
-    select_session_engine_threaded(a, threads)
-}
-
 /// Streaming-capable variant of [`select_engine`]: the same portfolio
 /// policy, but the boxed engine also exposes the
 /// [`StreamingEngine`](crate::StreamingEngine) feed protocol and
@@ -322,25 +272,10 @@ pub fn select_session_engine_explained(
     Ok((EngineChoice::Nfa, reason, Box::new(NfaEngine::new(a)?)))
 }
 
-/// Thread-aware variant of [`select_engine`]: with more than one thread
-/// it builds a [`ParallelScanner`] (whose merged stream matches the
-/// single-threaded engines byte for byte), otherwise it defers to the
-/// single-threaded portfolio.
-///
-/// # Errors
-///
-/// Propagates [`EngineError::Invalid`] if the automaton fails
-/// validation.
-pub fn select_engine_threaded(
-    a: &Automaton,
-    threads: usize,
-) -> Result<(EngineChoice, Box<dyn Engine>), EngineError> {
-    let (choice, engine) = select_session_engine_threaded(a, threads)?;
-    Ok((choice, engine))
-}
-
-/// Streaming-capable variant of [`select_engine_threaded`]; see
-/// [`select_session_engine`].
+/// Thread-aware variant of [`select_session_engine`]: with more than
+/// one thread it builds a [`ParallelScanner`] (whose merged stream
+/// matches the single-threaded engines byte for byte), otherwise it
+/// defers to the single-threaded portfolio.
 ///
 /// # Errors
 ///
@@ -571,7 +506,7 @@ mod tests {
         let mut a = Automaton::new();
         let (_, last) = a.add_chain(&[SymbolClass::from_byte(b'x'); 4], StartKind::AllInput);
         a.set_report(last, 0);
-        let (choice, mut engine) = select_engine_threaded(&a, 4).unwrap();
+        let (choice, mut engine) = select_session_engine_threaded(&a, 4).unwrap();
         assert_eq!(choice, EngineChoice::Parallel { threads: 4 });
         let mut sink = CollectSink::new();
         engine.scan(b"xxxxx", &mut sink);
@@ -583,30 +518,8 @@ mod tests {
         let mut a = Automaton::new();
         let (_, last) = a.add_chain(&[SymbolClass::from_byte(b'x'); 4], StartKind::AllInput);
         a.set_report(last, 0);
-        let (choice, _) = select_engine_threaded(&a, 1).unwrap();
+        let (choice, _) = select_session_engine_threaded(&a, 1).unwrap();
         assert_eq!(choice, EngineChoice::BitParallel);
-    }
-
-    #[test]
-    fn reduce_opt_preserves_reports() {
-        // Two identical copies of one pattern: the reduction tier merges
-        // them and the report stream is unchanged.
-        let mut a = Automaton::new();
-        for _ in 0..2 {
-            let (_, last) = a.add_chain(&[SymbolClass::from_byte(b'x'); 4], StartKind::AllInput);
-            a.set_report(last, 0);
-        }
-        let (_, mut plain) = select_engine_with(&a, SelectOpts::default()).unwrap();
-        let opts = SelectOpts {
-            threads: 1,
-            reduce: true,
-        };
-        let (_, mut reduced) = select_engine_with(&a, opts).unwrap();
-        let (mut s1, mut s2) = (CollectSink::new(), CollectSink::new());
-        plain.scan(b"xxxxxy", &mut s1);
-        reduced.scan(b"xxxxxy", &mut s2);
-        assert_eq!(s1.reports(), s2.reports());
-        assert_eq!(s1.reports().len(), 2);
     }
 
     #[test]
@@ -630,6 +543,6 @@ mod tests {
                 azoo_core::CoreError::DuplicateEdge { .. }
             ))
         ));
-        assert!(select_engine_threaded(&a, 4).is_err());
+        assert!(select_session_engine_threaded(&a, 4).is_err());
     }
 }

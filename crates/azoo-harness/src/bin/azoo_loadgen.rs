@@ -8,7 +8,7 @@
 //!              [--chunk BYTES]     feed chunk size (default 4096)
 //!              [--scale tiny|small|full]
 //!              [--smoke]           CI preset: tiny scale, 2 conns x 8 sessions
-//!              [--out PATH]        result JSON (default BENCH_serve.json)
+//!              [--out PATH]        also write the result JSON to PATH
 //!              [--no-shutdown]     leave the server running on exit
 //!              [--reduce]          compile databases through the reduction tier
 //! ```
@@ -20,8 +20,10 @@
 //! small-state case), then closes. Every session's drained reports are
 //! checked byte-for-byte against a local block scan of the same
 //! database — the loadgen is an oracle, not just a firehose. On success
-//! it fetches the server metrics, optionally sends `SHUTDOWN`, and
-//! writes a `BENCH_serve.json` with throughput and the server snapshot.
+//! it fetches the server metrics, optionally sends `SHUTDOWN`, and —
+//! only when `--out` is given — writes a result JSON with the run's
+//! totals and the server snapshot. Serving throughput and latency are
+//! measured by `azoo-perf` (`serve.*` rows), not here.
 //!
 //! Exit code: 0 = all sessions verified; 1 = any mismatch or protocol
 //! error; 2 = bad usage.
@@ -74,7 +76,7 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .filter(|&n| n > 0)
         .unwrap_or(4096);
-    let out = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_serve.json".into());
+    let out = arg_value(&args, "--out");
 
     let reduce = flag_present(&args, "--reduce");
     let workloads: Vec<Arc<Workload>> = [BenchmarkId::Snort, BenchmarkId::ClamAv]
@@ -183,16 +185,16 @@ fn main() {
         ),
         ("server_metrics".into(), metrics),
     ]);
-    let mut text = result.pretty();
-    text.push('\n');
-    if let Err(e) = std::fs::write(&out, text) {
-        eprintln!("azoo-loadgen: cannot write {out}: {e}");
-        std::process::exit(1);
+    if let Some(out) = out {
+        let mut text = result.pretty();
+        text.push('\n');
+        if let Err(e) = std::fs::write(&out, text) {
+            eprintln!("azoo-loadgen: cannot write {out}: {e}");
+            std::process::exit(1);
+        }
+        eprintln!("azoo-loadgen: results in {out}");
     }
-    eprintln!(
-        "azoo-loadgen: OK — {total_bytes} bytes, {total_reports} reports, \
-         {elapsed:.2}s; results in {out}"
-    );
+    eprintln!("azoo-loadgen: OK — {total_bytes} bytes, {total_reports} reports, {elapsed:.2}s");
 }
 
 fn build_workload(id: BenchmarkId, scale: Scale, reduce: bool) -> Workload {

@@ -24,7 +24,8 @@
 
 use azoo_engines::{CollectSink, Engine, NfaEngine, ParallelScanner, PrefilterEngine};
 use azoo_harness::{
-    flag_present, fmt_count, scale_from_args, threads_from_args, write_metrics_json, Table,
+    flag_present, fmt_count, scale_from_args, threads_from_args, time_scan_with,
+    write_metrics_json, Table,
 };
 use azoo_serve::MetricsRegistry;
 use azoo_workloads::network::{pcap_like, PcapConfig};
@@ -85,9 +86,7 @@ fn main() {
             Box::new(NfaEngine::new(&ruleset.automaton).expect("valid"))
         };
         let mut sink = CollectSink::new();
-        let t = std::time::Instant::now();
-        engine.scan(&input, &mut sink);
-        let nanos = t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        let nanos = (time_scan_with(engine.as_mut(), &input, &mut sink) * 1e9) as u64;
         let reports = sink.reports().len();
         metrics.record_feed(input.len() as u64, reports as u64, nanos);
         let rate = reports as f64 / (input.len() as f64 / 1024.0);

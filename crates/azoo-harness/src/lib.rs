@@ -41,27 +41,42 @@ use std::time::Instant;
 use azoo_engines::{Engine, NullSink, ReportSink};
 use azoo_zoo::Scale;
 
-/// Parses `--scale` from argv; defaults to [`Scale::Small`].
+/// Parses `--scale` from argv; defaults to [`Scale::Small`]. An
+/// unknown scale prints a usage line and exits 2.
 pub fn scale_from_args() -> Scale {
     let args: Vec<String> = std::env::args().collect();
-    match arg_value(&args, "--scale").as_deref() {
-        Some("tiny") => Scale::Tiny,
-        Some("full") => Scale::Full,
-        Some("small") | None => Scale::Small,
-        Some(other) => {
-            eprintln!("unknown scale '{other}', using small");
-            Scale::Small
-        }
-    }
+    parse_scale(&args).unwrap_or_else(|e| usage_exit(&e))
 }
 
 /// Parses `--threads` from `args`; defaults to 1 (single-threaded).
-/// Zero and unparsable values also fall back to 1.
+/// Zero and unparsable values print a usage line and exit 2.
 pub fn threads_from_args(args: &[String]) -> usize {
-    arg_value(args, "--threads")
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
+    parse_threads(args).unwrap_or_else(|e| usage_exit(&e))
+}
+
+fn parse_scale(args: &[String]) -> Result<Scale, String> {
+    match arg_value(args, "--scale").as_deref() {
+        Some("tiny") => Ok(Scale::Tiny),
+        Some("full") => Ok(Scale::Full),
+        Some("small") | None => Ok(Scale::Small),
+        Some(other) => Err(format!("unknown --scale '{other}'")),
+    }
+}
+
+fn parse_threads(args: &[String]) -> Result<usize, String> {
+    match arg_value(args, "--threads") {
+        None => Ok(1),
+        Some(v) => v
+            .parse()
+            .ok()
+            .filter(|&n| n > 0)
+            .ok_or_else(|| format!("--threads expects a positive integer, got '{v}'")),
+    }
+}
+
+fn usage_exit(error: &str) -> ! {
+    eprintln!("{error}\nusage: [--scale tiny|small|full] [--threads N] (N >= 1)");
+    std::process::exit(2);
 }
 
 /// Extracts the value following a `--flag` in argv.
@@ -160,20 +175,23 @@ mod tests {
         assert_eq!(fmt_count(2374717), "2,374,717");
     }
 
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn threads_default_and_parse() {
-        let args: Vec<String> = ["bin", "--threads", "4"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(threads_from_args(&args), 4);
-        let none: Vec<String> = vec!["bin".into()];
-        assert_eq!(threads_from_args(&none), 1);
-        let zero: Vec<String> = ["bin", "--threads", "0"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(threads_from_args(&zero), 1);
+        assert_eq!(threads_from_args(&argv(&["bin", "--threads", "4"])), 4);
+        assert_eq!(threads_from_args(&argv(&["bin"])), 1);
+        // Bad values fail typed (the pub wrapper turns this into exit 2).
+        assert!(parse_threads(&argv(&["bin", "--threads", "0"])).is_err());
+        assert!(parse_threads(&argv(&["bin", "--threads", "abc"])).is_err());
+    }
+
+    #[test]
+    fn unknown_scale_is_an_error_not_small() {
+        assert_eq!(parse_scale(&argv(&["bin"])), Ok(Scale::Small));
+        assert!(parse_scale(&argv(&["bin", "--scale", "huge"])).is_err());
     }
 
     #[test]

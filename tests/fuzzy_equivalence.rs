@@ -2,6 +2,8 @@
 //! paper's (pattern, k) instances is report-identical — multiplicity
 //! included — to azoo-zoo's hand-built Levenshtein and Hamming meshes
 //! under NfaEngine, in block mode and in 997-byte streaming chunks.
+//! Each profile's zoo family (fuzzy-Snort, fuzzy-DNA) must also accept
+//! strictly more of one shared stimulus at `k = 1` than at `k = 0`.
 //!
 //! Any divergence is banked under `tests/bugbank/` (the same corpus the
 //! differential oracle feeds) before the test fails, so the witness
@@ -10,11 +12,13 @@
 use std::path::Path;
 
 use automatazoo::core::Automaton;
-use automatazoo::fuzzy::{fuzzy_from_bytes, EditProfile};
+use automatazoo::fuzzy::{fuzzy_from_bytes, EditProfile, FuzzyStats};
 use automatazoo::oracle::{BugbankEntry, Divergence, EngineKind, EngineUnderTest, Rep, Subject};
 use automatazoo::workloads::dna;
+use automatazoo::zoo::fuzzy::{build_dna, build_snort, FuzzyParams};
 use automatazoo::zoo::hamming::{hamming_filter, HammingParams};
 use automatazoo::zoo::levenshtein::{levenshtein_filter, LevenshteinParams};
+use automatazoo::zoo::Scale;
 
 const STREAM_CHUNK: usize = 997;
 const INPUT_LEN: usize = 16 * 1024;
@@ -84,6 +88,38 @@ fn pin(name: &str, hand: &Automaton, general: &Automaton, input: &[u8], seed: u6
     }
 }
 
+/// Containment gate for one zoo fuzzy family at tiny scale: budgets
+/// `k = 0, 1, 2` over the same pattern set scan the `k = 1` stimulus
+/// (exact plus 1-edit-mutated plants). A bigger budget accepts a
+/// superset of the language, and the mutated plants need `k >= 1`, so
+/// the mesh's error layers are doing real work.
+fn assert_reports_grow_with_k(
+    family: &str,
+    published: FuzzyParams,
+    build: fn(&FuzzyParams) -> (Automaton, Vec<u8>, FuzzyStats),
+) {
+    let params = |k| FuzzyParams {
+        max_edits: k,
+        patterns: Scale::Tiny.count(published.patterns),
+        input_len: Scale::Tiny.input(published.input_len),
+        ..published
+    };
+    let builds: Vec<_> = (0..=2).map(|k| build(&params(k))).collect();
+    let stimulus = &builds[1].1;
+    let counts: Vec<usize> = builds
+        .iter()
+        .enumerate()
+        .map(|(k, (mesh, _, stats))| {
+            assert_eq!(stats.layers, k + 1, "{family} k={k}");
+            run_block(mesh, stimulus).len()
+        })
+        .collect();
+    assert!(
+        counts[0] < counts[1] && counts[1] <= counts[2],
+        "{family}: report counts must grow with k, strictly from 0 to 1: {counts:?}"
+    );
+}
+
 #[test]
 fn levenshtein_published_variants_are_report_identical() {
     // Table V instances: 19x3, 24x5, 37x10.
@@ -110,6 +146,7 @@ fn levenshtein_published_variants_are_report_identical() {
             params.seed,
         );
     }
+    assert_reports_grow_with_k("fuzzy_snort", FuzzyParams::published_snort(1), build_snort);
 }
 
 #[test]
@@ -138,6 +175,7 @@ fn hamming_published_variants_are_report_identical() {
             params.seed,
         );
     }
+    assert_reports_grow_with_k("fuzzy_dna", FuzzyParams::published_dna(1), build_dna);
 }
 
 /// The Levenshtein construction is not merely report-equivalent: the

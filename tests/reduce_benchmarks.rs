@@ -3,11 +3,8 @@
 //! residual coverage fold), must validate cleanly, never grow, and
 //! produce byte-identical report streams in block mode *and* across
 //! streaming chunk boundaries, under both the reference NFA and the
-//! literal-prefilter engine.
-//!
-//! (The release-mode `bench-reduce` binary re-runs the same equivalence
-//! assertions over the full corpora; this test keeps them in the
-//! default `cargo test` loop on a debug-budget window.)
+//! literal-prefilter engine — and the tier must do real work: at least
+//! five roster members lose states.
 
 use automatazoo::core::Automaton;
 use automatazoo::engines::{
@@ -63,9 +60,11 @@ fn assert_equivalent(id: BenchmarkId, original: &Automaton, reduced: &Automaton,
 
 #[test]
 fn all_benchmarks_reduce_clean_and_report_identical() {
+    let mut shrunk = 0;
     for id in BenchmarkId::ALL {
         let bench = id.build(Scale::Tiny);
         let (reduced, stats) = reduce(&bench.automaton);
+        shrunk += usize::from(stats.states_after < stats.states_before);
 
         let violations = reduced.validate_all();
         assert!(
@@ -90,6 +89,10 @@ fn all_benchmarks_reduce_clean_and_report_identical() {
         let window = bench.input.len().min(8_000);
         assert_equivalent(id, &bench.automaton, &reduced, &bench.input[..window]);
     }
+    assert!(
+        shrunk >= 5,
+        "reduction shrank only {shrunk} benchmarks: the tier is a no-op"
+    );
 }
 
 /// Reduction is a fixpoint: feeding its own output back in changes

@@ -11,6 +11,7 @@ use automatazoo::core::{Automaton, CounterMode, StartKind, SymbolClass};
 use automatazoo::engines::{
     CollectSink, Engine, NfaEngine, ParallelScanner, Report, StreamingEngine,
 };
+use automatazoo::zoo::{sequence_match, BenchmarkId, Scale};
 
 const THREADS: &[usize] = &[1, 2, 4, 8];
 
@@ -64,6 +65,24 @@ fn counter_machine(mode: CounterMode) -> Automaton {
     a.add_reset_edge(z, c);
     a.validate().expect("valid");
     a
+}
+
+/// A counter-bearing SPM instance (every filter ends in a terminal
+/// latch counter) whose input embeds one candidate sequence past its
+/// support threshold, so the counters count, latch and report — the
+/// registry's random SPM wC corpus rarely reaches support.
+fn seeded_spm() -> (Automaton, Vec<u8>) {
+    let mut rng = automatazoo::workloads::rng(0x5EED);
+    let mut a = Automaton::new();
+    let seqs: Vec<_> = (0..20)
+        .map(|_| sequence_match::generate_sequence(&mut rng, 6, 6))
+        .collect();
+    for (code, seq) in seqs.iter().enumerate() {
+        let counter = Some((3, CounterMode::Latch));
+        sequence_match::append_filter(&mut a, seq, code as u32, counter, None);
+    }
+    let input = sequence_match::stream_with_sequence(0xFEED, &seqs[0], 12);
+    (a, input)
 }
 
 /// `a b* c` — a reachable self-loop, so activity can persist across any
@@ -124,6 +143,12 @@ fn counter_shards_agree_with_nfa_at_every_thread_count() {
             }
         }
     }
+    let (a, input) = seeded_spm();
+    let expect = nfa_reports(&a, &input);
+    assert!(!expect.is_empty(), "seeded SPM wC must fire its counters");
+    for &t in THREADS {
+        assert_eq!(parallel_reports(&a, t, &input), expect, "{t} threads");
+    }
 }
 
 #[test]
@@ -173,6 +198,16 @@ fn hard_shapes_actually_take_the_speculative_path() {
             0,
             "no whole-input fallback for a terminal-counter machine"
         );
+    }
+    // The roster's counter-bearing SPM must chunk speculatively too,
+    // never pinning a shard to a sequential whole-input scan.
+    for a in [
+        seeded_spm().0,
+        BenchmarkId::SeqMatch6w6pWc.build(Scale::Tiny).automaton,
+    ] {
+        let scanner = ParallelScanner::new(&a, 4).expect("valid");
+        assert!(scanner.speculative_shard_count() >= 1);
+        assert_eq!(scanner.whole_input_shard_count(), 0, "SPM wC");
     }
 }
 
