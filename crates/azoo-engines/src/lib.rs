@@ -23,8 +23,9 @@
 //!   Aho–Corasick trigger and simulated only in a bounded window around
 //!   each candidate hit; everything else falls back to full simulation.
 //! * [`ParallelScanner`] — a multi-threaded wrapper that shards the
-//!   automaton by connected component and (where sound) chunks the input
-//!   across workers, merging reports into the canonical sorted stream.
+//!   automaton by connected component and (where a bounded overlap
+//!   window exists) chunks the input across workers, merging reports
+//!   into the canonical sorted stream.
 //!
 //! All engines produce identical report streams for the automata they
 //! support, which the test suite cross-validates.
@@ -52,7 +53,6 @@
 #![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used)]
 mod bitpar;
-mod frontier;
 mod lazy_dfa;
 mod literal;
 mod nfa;

@@ -13,34 +13,26 @@
 //!    cut into chunks that different workers scan concurrently. Each
 //!    worker re-scans a bounded *overlap window* before its chunk to
 //!    catch matches that span the boundary, and discards reports it does
-//!    not own. Shards with counters, cycles, or start-of-data anchors —
-//!    where no finite overlap window exists — are chunked *speculatively*
-//!    instead: workers run every subchunk but the first through
-//!    [`FrontierScanner::summarize`], recording an entry-conditional
-//!    transfer summary, and the summaries are stitched left-to-right by
-//!    composition once each subchunk's true entry configuration is known
-//!    (see [`frontier`](crate::frontier) for the construction and its
-//!    soundness argument). Only components whose counters feed other
-//!    elements — where speculation is not union-linear — still scan the
-//!    whole input on one worker.
+//!    not own. Components with counters, reachable cycles, or
+//!    start-of-data anchors — where no finite overlap window exists —
+//!    are split into a shard of their own that scans the whole input on
+//!    one worker, so the easy components packed beside them keep
+//!    chunking.
 //!
 //! Workers drain a shared job queue, batch their reports locally, and
 //! append each batch once into a shared rank-ordered merge accumulator
-//! ([`azoo_sync::OrderedMutex`], rank `ENGINE_MERGE`; speculative
-//! summaries travel through a second accumulator at rank
-//! `ENGINE_SUMMARY`); the merged stream is sorted by `(offset, code)`
-//! and deduplicated, so the output is **byte-identical to a single
-//! [`NfaEngine`] scan** and independent of thread scheduling — the
-//! property the differential tests pin down.
+//! ([`azoo_sync::OrderedMutex`], rank `ENGINE_MERGE`); the merged stream
+//! is sorted by `(offset, code)` and deduplicated, so the output is
+//! **byte-identical to a single [`NfaEngine`] scan** and independent of
+//! thread scheduling — the property the differential tests pin down.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use azoo_core::stats::{component_labels, component_sizes, longest_path_from_starts};
-use azoo_core::{Automaton, ElementKind, ReportCode, StartKind};
+use azoo_core::{Automaton, ElementKind, StartKind};
 use azoo_passes::partition;
 use azoo_sync::{ranks, OrderedMutex};
 
-use crate::frontier::{ChunkSummary, FrontierScanner, FrontierScratch, SpecConfig};
 use crate::nfa::NfaEngine;
 use crate::prefilter::{PrefilterEngine, PREFILTER_COVERAGE_GATE};
 use crate::sheng::ShengEngine;
@@ -94,51 +86,16 @@ impl ShardEngine {
     }
 }
 
-/// Mutable stream state of a speculative shard: the resolved
-/// configuration at the current stream position plus end-of-data report
-/// candidates held back at the last feed seam.
-#[derive(Debug, Clone)]
-struct SpecStream {
-    cfg: SpecConfig,
-    pending: Vec<(u64, u32)>,
-    scratch: FrontierScratch,
-}
-
 /// One automaton shard plus its chunking capability.
 #[derive(Debug, Clone)]
-enum Shard {
-    /// A conventional engine shard. `window: Some(w)` means
-    /// input-chunkable with a `w`-symbol overlap; `None` means the shard
-    /// must scan the input sequentially (now only components whose
-    /// counters have successors).
-    Engine {
-        /// Prototype engine; cloned per job during `scan`, fed in place
-        /// during streaming.
-        engine: ShardEngine,
-        window: Option<usize>,
-    },
-    /// A speculatively-chunked shard (counters, cycles, `StartOfData`).
-    Spec {
-        scanner: Box<FrontierScanner>,
-        stream: Box<SpecStream>,
-    },
-}
-
-#[derive(Debug, Clone, Copy)]
-enum JobKind {
-    /// Scan `0..input.len()` as a complete input (whole-input job).
-    Whole,
-    /// Overlap-window chunk job.
-    Window(usize),
-    /// First speculative subchunk: its entry configuration is known, so
-    /// it runs exactly and its reports are final.
-    Exact { last: bool, maybe_last: bool },
-    /// Later speculative subchunk: summarize from the full frontier.
-    Summary {
-        index: usize,
-        last: bool,
-        maybe_last: bool,
-    },
+struct Shard {
+    /// Prototype engine; cloned per job during `scan`, fed in place
+    /// during streaming.
+    engine: ShardEngine,
+    /// `Some(w)` means input-chunkable with a `w`-symbol overlap; `None`
+    /// means the shard must scan the input sequentially (components with
+    /// counters, reachable cycles or `StartOfData` anchors).
+    window: Option<usize>,
 }
 
 /// A unit of work: one shard over one input range.
@@ -148,26 +105,9 @@ struct Job {
     /// Input range this job owns reports for.
     start: usize,
     end: usize,
-    kind: JobKind,
-}
-
-/// A worker's speculative-job product, deposited into the
-/// `ENGINE_SUMMARY`-ranked accumulator for the main-thread stitch.
-enum SpecOut {
-    /// Exact first subchunk: final reports, held-back candidates, and
-    /// the resolved exit configuration.
-    Exact {
-        shard: usize,
-        cfg: SpecConfig,
-        reports: Vec<Report>,
-        pending: Vec<(u64, u32)>,
-    },
-    /// One later subchunk's transfer summary.
-    Sum {
-        shard: usize,
-        index: usize,
-        sum: ChunkSummary,
-    },
+    /// `Some(w)`: overlap-window chunk job. `None`: scan `start..end`
+    /// (always the whole input) as a complete input.
+    window: Option<usize>,
 }
 
 /// Scans with a pool of worker threads, merging shard and chunk report
@@ -219,9 +159,11 @@ impl ParallelScanner {
 
     /// Like [`new`](Self::new), but with `prefilter` true each shard
     /// whose components mostly carry required literals runs behind a
-    /// [`PrefilterEngine`] instead of a plain [`NfaEngine`] (same gate as
-    /// [`select_engine`](crate::select_engine)). The merged stream is
-    /// unchanged either way.
+    /// [`PrefilterEngine`] instead of a plain [`NfaEngine`] (admitted at
+    /// the flat [`PREFILTER_COVERAGE_GATE`], not the length- and
+    /// load-weighted [`prefilter_gate`](crate::prefilter_gate) that
+    /// [`select_engine`](crate::select_engine) applies). The merged
+    /// stream is unchanged either way.
     ///
     /// # Errors
     ///
@@ -248,76 +190,39 @@ impl ParallelScanner {
         // one shard survives.
         for p in parts.iter().filter(|p| !p.start_states().is_empty()) {
             if let Some(w) = chunk_window(p) {
-                shards.push(Shard::Engine {
+                shards.push(Shard {
                     engine: build_shard_engine(p, prefilter)?,
                     window: Some(w),
                 });
                 continue;
             }
-            // Hard shard: classify its components. *Easy* components
-            // (counter-free, unanchored, acyclic) keep the bounded-
-            // overlap path; components whose counters are all terminal
-            // chunk speculatively; components whose counters drive
-            // successors keep the sequential whole-input path.
+            // Hard shard: split its *easy* components (counter-free,
+            // unanchored, acyclic), which keep the bounded-overlap path,
+            // from the rest, which scan the whole input sequentially.
             let labels = component_labels(p);
-            let mut unsound = vec![false; p.state_count()];
             let mut hard = vec![false; p.state_count()];
             for (id, e) in p.iter() {
-                match e.kind {
-                    ElementKind::Counter { .. } => {
-                        hard[labels[id.index()]] = true;
-                        if !p.successors(id).is_empty() {
-                            unsound[labels[id.index()]] = true;
+                if matches!(
+                    e.kind,
+                    ElementKind::Counter { .. }
+                        | ElementKind::Ste {
+                            start: StartKind::StartOfData,
+                            ..
                         }
-                    }
-                    ElementKind::Ste {
-                        start: StartKind::StartOfData,
-                        ..
-                    } => hard[labels[id.index()]] = true,
-                    ElementKind::Ste { .. } => {}
+                ) {
+                    hard[labels[id.index()]] = true;
                 }
             }
             mark_reachable_cycles(p, &labels, &mut hard);
-            let class = |id: azoo_core::StateId| {
-                let l = labels[id.index()];
-                if unsound[l] {
-                    CompClass::Unsound
-                } else if hard[l] {
-                    CompClass::Spec
-                } else {
-                    CompClass::Easy
-                }
-            };
-            for want in [CompClass::Easy, CompClass::Spec, CompClass::Unsound] {
-                if !p.iter().any(|(id, _)| class(id) == want) {
-                    continue;
-                }
-                let sub = p.retain_states(|id| class(id) == want);
+            for is_hard in [false, true] {
+                let sub = p.retain_states(|id| hard[labels[id.index()]] == is_hard);
                 if sub.start_states().is_empty() {
                     continue;
                 }
-                match want {
-                    CompClass::Easy => shards.push(Shard::Engine {
-                        engine: build_shard_engine(&sub, prefilter)?,
-                        window: chunk_window(&sub),
-                    }),
-                    CompClass::Spec => {
-                        let scanner = FrontierScanner::new(&sub)?;
-                        let stream = Box::new(SpecStream {
-                            cfg: scanner.initial_config(),
-                            pending: Vec::new(),
-                            scratch: scanner.new_scratch(),
-                        });
-                        shards.push(Shard::Spec {
-                            scanner: Box::new(scanner),
-                            stream,
-                        });
-                    }
-                    CompClass::Unsound => shards.push(Shard::Engine {
-                        engine: build_shard_engine(&sub, prefilter)?,
-                        window: None,
-                    }),
-                }
+                shards.push(Shard {
+                    engine: build_shard_engine(&sub, prefilter)?,
+                    window: if is_hard { None } else { chunk_window(&sub) },
+                });
             }
         }
         Ok(ParallelScanner {
@@ -326,38 +231,6 @@ impl ParallelScanner {
             stream_offset: 0,
             tail: Vec::new(),
         })
-    }
-
-    /// Number of shards running behind the literal prefilter.
-    pub fn prefiltered_shard_count(&self) -> usize {
-        self.shards
-            .iter()
-            .filter(|s| {
-                matches!(
-                    s,
-                    Shard::Engine {
-                        engine: ShardEngine::Prefilter(_),
-                        ..
-                    }
-                )
-            })
-            .count()
-    }
-
-    /// Number of shards running as a shuffle DFA.
-    pub fn sheng_shard_count(&self) -> usize {
-        self.shards
-            .iter()
-            .filter(|s| {
-                matches!(
-                    s,
-                    Shard::Engine {
-                        engine: ShardEngine::Sheng(_),
-                        ..
-                    }
-                )
-            })
-            .count()
     }
 
     /// Worker thread count.
@@ -372,59 +245,20 @@ impl ParallelScanner {
 
     /// Number of shards eligible for bounded-overlap input chunking.
     pub fn chunkable_shard_count(&self) -> usize {
-        self.shards
-            .iter()
-            .filter(|s| {
-                matches!(
-                    s,
-                    Shard::Engine {
-                        window: Some(_),
-                        ..
-                    }
-                )
-            })
-            .count()
+        self.shards.iter().filter(|s| s.window.is_some()).count()
     }
 
-    /// Number of shards chunked speculatively (counters, cycles,
-    /// `StartOfData` anchors).
+    // Shim for the frozen azoo-perf/src/layers.rs:910, its only non-test caller.
+    #[doc(hidden)]
     pub fn speculative_shard_count(&self) -> usize {
-        self.shards
-            .iter()
-            .filter(|s| matches!(s, Shard::Spec { .. }))
-            .count()
+        0
     }
 
-    /// Number of shards still pinned to a sequential whole-input scan
-    /// (components whose counters drive successors).
+    /// Number of shards pinned to a sequential whole-input scan
+    /// (components with counters, reachable cycles or `StartOfData`
+    /// anchors).
     pub fn whole_input_shard_count(&self) -> usize {
-        self.shards
-            .iter()
-            .filter(|s| matches!(s, Shard::Engine { window: None, .. }))
-            .count()
-    }
-
-    /// Number of speculative shards whose frontier overflowed the tag
-    /// space: their chunks speculate on a *sampled* frontier and may pay
-    /// verified re-scans during the stitch (a throughput diagnostic, not
-    /// a correctness concern).
-    pub fn sampled_speculative_shard_count(&self) -> usize {
-        self.shards
-            .iter()
-            .filter(|s| match s {
-                Shard::Spec { scanner, .. } => scanner.sampled_comp_count() > 0,
-                Shard::Engine { .. } => false,
-            })
-            .count()
-    }
-
-    /// Subchunk count for a speculative shard over `len` input bytes.
-    fn spec_subchunks(&self, len: usize) -> usize {
-        if self.threads > 1 {
-            self.threads.min(len).max(1)
-        } else {
-            1
-        }
+        self.shards.iter().filter(|s| s.window.is_none()).count()
     }
 
     /// Scans `input` and returns the merged, `(offset, code)`-sorted,
@@ -433,123 +267,63 @@ impl ParallelScanner {
         let len = input.len();
         let mut jobs = Vec::new();
         for (si, shard) in self.shards.iter().enumerate() {
-            match shard {
+            match shard.window {
                 // Chunking pays off only with input to split and more
-                // workers than shards.
-                Shard::Engine {
-                    window: Some(w), ..
-                } if self.threads > 1 && len > 0 => {
+                // than one worker.
+                Some(_) if self.threads > 1 && len > 0 => {
                     let k = self.threads.min(len);
                     for c in 0..k {
                         jobs.push(Job {
                             shard: si,
                             start: len * c / k,
                             end: len * (c + 1) / k,
-                            kind: JobKind::Window(*w),
+                            window: shard.window,
                         });
                     }
                 }
-                Shard::Engine { .. } => jobs.push(Job {
+                _ => jobs.push(Job {
                     shard: si,
                     start: 0,
                     end: len,
-                    kind: JobKind::Whole,
+                    window: None,
                 }),
-                Shard::Spec { .. } => {
-                    let k = self.spec_subchunks(len);
-                    for c in 0..k {
-                        let kind = if c == 0 {
-                            JobKind::Exact {
-                                last: k == 1,
-                                maybe_last: false,
-                            }
-                        } else {
-                            JobKind::Summary {
-                                index: c,
-                                last: c + 1 == k,
-                                maybe_last: false,
-                            }
-                        };
-                        jobs.push(Job {
-                            shard: si,
-                            start: len * c / k,
-                            end: len * (c + 1) / k,
-                            kind,
-                        });
-                    }
-                }
             }
         }
         let workers = self.threads.min(jobs.len());
-        let (mut merged, spec_outs) = if workers <= 1 {
+        let mut merged = if workers <= 1 {
             // Run inline: the single-thread baseline should not pay a
             // spawn/join round trip.
             let mut worker = Worker::new(&self.shards);
             let mut out = Vec::new();
-            let mut spec = Vec::new();
             for job in &jobs {
-                worker.run_job(*job, input, 0, &mut out, &mut spec);
+                worker.run_job(*job, input, &mut out);
             }
-            (out, spec)
+            out
         } else {
             let queue = AtomicUsize::new(0);
             // Workers batch reports locally and take the shared merge
             // lock (rank ENGINE_MERGE) exactly once, after their last
             // job — one contended acquisition per worker, not per report.
-            // Speculative products go through a second accumulator at
-            // rank ENGINE_SUMMARY; neither lock is held while the other
-            // is.
             let merge_acc = OrderedMutex::new(ranks::ENGINE_MERGE, Vec::new());
-            let sum_acc = OrderedMutex::new(ranks::ENGINE_SUMMARY, Vec::new());
             let (queue, jobs, shards) = (&queue, &jobs[..], &self.shards[..]);
-            let (merge, sums) = (&merge_acc, &sum_acc);
+            let merge = &merge_acc;
             crossbeam::thread::scope(|scope| {
                 for _ in 0..workers {
                     scope.spawn(move |_| {
                         let mut worker = Worker::new(shards);
                         let mut out = Vec::new();
-                        let mut spec = Vec::new();
                         loop {
                             let j = queue.fetch_add(1, Ordering::Relaxed);
                             let Some(job) = jobs.get(j) else { break };
-                            worker.run_job(*job, input, 0, &mut out, &mut spec);
-                        }
-                        if !spec.is_empty() {
-                            sums.lock().append(&mut spec);
+                            worker.run_job(*job, input, &mut out);
                         }
                         merge.lock().append(&mut out);
                     });
                 }
             })
             .expect("scan worker panicked");
-            (merge_acc.into_inner(), sum_acc.into_inner())
+            merge_acc.into_inner()
         };
-        // Stitch the speculative shards left-to-right on this thread.
-        let mut slots = SpecSlots::collect(self.shards.len(), spec_outs, &mut merged);
-        for (si, shard) in self.shards.iter().enumerate() {
-            let Shard::Spec { scanner, .. } = shard else {
-                continue;
-            };
-            let k = self.spec_subchunks(len);
-            let mut cfg = slots.take_cfg(si);
-            let mut scratch = scanner.new_scratch();
-            let mut pending = Vec::new();
-            for c in 1..k {
-                let (s, e) = (len * c / k, len * (c + 1) / k);
-                let sum = slots.take_sum(si, c);
-                scanner.stitch(
-                    &mut scratch,
-                    &mut cfg,
-                    &sum,
-                    &input[s..e],
-                    s as u64,
-                    &mut merged,
-                    &mut pending,
-                );
-            }
-            // A block scan ends the stream, so nothing is held back.
-            debug_assert!(pending.is_empty());
-        }
         // Canonical order. Distinct shards may report the same code at
         // the same offset; a single engine deduplicates those per cycle,
         // so the merge must too.
@@ -559,59 +333,14 @@ impl ParallelScanner {
     }
 
     /// One streaming feed, returning the merged sorted stream for this
-    /// chunk.
+    /// chunk. Parallel across shards only: each engine carries mutable
+    /// stream state.
     fn feed_merged(&mut self, chunk: &[u8], eod: bool) -> Vec<Report> {
-        let len = chunk.len();
-        let base0 = self.stream_offset;
-        if len == 0 {
-            let mut merged = Vec::new();
-            for shard in &mut self.shards {
-                match shard {
-                    Shard::Engine { engine, .. } => {
-                        engine.feed(chunk, eod, &mut VecSink(&mut merged));
-                    }
-                    Shard::Spec { stream, .. } => {
-                        if eod {
-                            merged.extend(stream.pending.drain(..).map(|(o, c)| Report {
-                                offset: o,
-                                code: ReportCode(c),
-                            }));
-                        }
-                    }
-                }
-            }
-            merged.sort_unstable();
-            merged.dedup();
-            if eod {
-                // The held-back candidates resolve at the last symbol of
-                // the previous feed; drop any a shard already reported
-                // there unconditionally.
-                let tail = &self.tail;
-                merged.retain(|r| !tail.contains(&(r.offset, r.code.0)));
-            }
-            return merged;
-        }
-        // A non-empty feed extends the stream: candidates held at the
-        // previous seam are cancelled, exactly as `NfaEngine` does.
-        for shard in &mut self.shards {
-            if let Shard::Spec { stream, .. } = shard {
-                stream.pending.clear();
-            }
-        }
-        // Phase 1: conventional shards, parallel across shards only
-        // (each engine carries mutable stream state).
-        let engine_shards = self
-            .shards
-            .iter()
-            .filter(|s| matches!(s, Shard::Engine { .. }))
-            .count();
-        let workers = self.threads.min(engine_shards);
-        let mut merged: Vec<Report> = if workers <= 1 {
+        let workers = self.threads.min(self.shards.len());
+        let mut merged: Vec<Report> = if workers <= 1 || chunk.is_empty() {
             let mut out = Vec::new();
             for shard in &mut self.shards {
-                if let Shard::Engine { engine, .. } = shard {
-                    engine.feed(chunk, eod, &mut VecSink(&mut out));
-                }
+                shard.engine.feed(chunk, eod, &mut VecSink(&mut out));
             }
             out
         } else {
@@ -623,9 +352,7 @@ impl ParallelScanner {
                     scope.spawn(move |_| {
                         let mut out = Vec::new();
                         for shard in group {
-                            if let Shard::Engine { engine, .. } = shard {
-                                engine.feed(chunk, eod, &mut VecSink(&mut out));
-                            }
+                            shard.engine.feed(chunk, eod, &mut VecSink(&mut out));
                         }
                         merge.lock().append(&mut out);
                     });
@@ -634,96 +361,19 @@ impl ParallelScanner {
             .expect("feed worker panicked");
             merge_acc.into_inner()
         };
-        // Phase 2: speculative shards, parallel across subchunks.
-        let mut jobs = Vec::new();
-        for (si, shard) in self.shards.iter().enumerate() {
-            let Shard::Spec { .. } = shard else { continue };
-            let k = self.spec_subchunks(len);
-            for c in 0..k {
-                let final_sub = c + 1 == k;
-                let kind = if c == 0 {
-                    JobKind::Exact {
-                        last: eod && final_sub,
-                        maybe_last: !eod && final_sub,
-                    }
-                } else {
-                    JobKind::Summary {
-                        index: c,
-                        last: eod && final_sub,
-                        maybe_last: !eod && final_sub,
-                    }
-                };
-                jobs.push(Job {
-                    shard: si,
-                    start: len * c / k,
-                    end: len * (c + 1) / k,
-                    kind,
-                });
-            }
-        }
-        let workers = self.threads.min(jobs.len());
-        let spec_outs = if jobs.is_empty() {
-            Vec::new()
-        } else if workers <= 1 {
-            let mut worker = Worker::new(&self.shards);
-            let mut spec = Vec::new();
-            let mut out = Vec::new();
-            for job in &jobs {
-                worker.run_job(*job, chunk, base0, &mut out, &mut spec);
-            }
-            debug_assert!(out.is_empty(), "spec jobs report via SpecOut");
-            spec
-        } else {
-            let queue = AtomicUsize::new(0);
-            let sum_acc = OrderedMutex::new(ranks::ENGINE_SUMMARY, Vec::new());
-            let (queue, jobs, shards, sums) = (&queue, &jobs[..], &self.shards[..], &sum_acc);
-            crossbeam::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(move |_| {
-                        let mut worker = Worker::new(shards);
-                        let mut out = Vec::new();
-                        let mut spec = Vec::new();
-                        loop {
-                            let j = queue.fetch_add(1, Ordering::Relaxed);
-                            let Some(job) = jobs.get(j) else { break };
-                            worker.run_job(*job, chunk, base0, &mut out, &mut spec);
-                        }
-                        debug_assert!(out.is_empty(), "spec jobs report via SpecOut");
-                        sums.lock().append(&mut spec);
-                    });
-                }
-            })
-            .expect("feed worker panicked");
-            sum_acc.into_inner()
-        };
-        // Stitch, adopting each shard's resolved exit configuration.
-        let mut slots = SpecSlots::collect(self.shards.len(), spec_outs, &mut merged);
-        let k = self.spec_subchunks(len);
-        for (si, shard) in self.shards.iter_mut().enumerate() {
-            let Shard::Spec { scanner, stream } = shard else {
-                continue;
-            };
-            stream.cfg = slots.take_cfg(si);
-            stream.pending.append(&mut slots.take_pending(si));
-            for c in 1..k {
-                let (s, e) = (len * c / k, len * (c + 1) / k);
-                let sum = slots.take_sum(si, c);
-                scanner.stitch(
-                    &mut stream.scratch,
-                    &mut stream.cfg,
-                    &sum,
-                    &chunk[s..e],
-                    base0 + s as u64,
-                    &mut merged,
-                    &mut stream.pending,
-                );
-            }
-            stream.pending.sort_unstable();
-            stream.pending.dedup();
-        }
         merged.sort_unstable();
         merged.dedup();
-        self.stream_offset += len as u64;
+        if chunk.is_empty() {
+            if eod {
+                // The held-back candidates resolve at the last symbol of
+                // the previous feed; drop any a shard already reported
+                // there unconditionally.
+                let tail = &self.tail;
+                merged.retain(|r| !tail.contains(&(r.offset, r.code.0)));
+            }
+            return merged;
+        }
+        self.stream_offset += chunk.len() as u64;
         let end = self.stream_offset;
         self.tail = merged
             .iter()
@@ -732,70 +382,6 @@ impl ParallelScanner {
             .collect();
         merged
     }
-}
-
-/// Per-shard collection bins for worker [`SpecOut`] products; exact
-/// subchunks' final reports drain straight into the merge stream.
-struct SpecSlots {
-    cfgs: Vec<Option<SpecConfig>>,
-    pendings: Vec<Vec<(u64, u32)>>,
-    sums: Vec<Vec<Option<ChunkSummary>>>,
-}
-
-impl SpecSlots {
-    fn collect(n_shards: usize, outs: Vec<SpecOut>, merged: &mut Vec<Report>) -> SpecSlots {
-        let mut slots = SpecSlots {
-            cfgs: vec![None; n_shards],
-            pendings: vec![Vec::new(); n_shards],
-            sums: (0..n_shards).map(|_| Vec::new()).collect(),
-        };
-        for out in outs {
-            match out {
-                SpecOut::Exact {
-                    shard,
-                    cfg,
-                    mut reports,
-                    mut pending,
-                } => {
-                    merged.append(&mut reports);
-                    slots.cfgs[shard] = Some(cfg);
-                    slots.pendings[shard].append(&mut pending);
-                }
-                SpecOut::Sum { shard, index, sum } => {
-                    let bin = &mut slots.sums[shard];
-                    if bin.len() <= index {
-                        bin.resize_with(index + 1, || None);
-                    }
-                    bin[index] = Some(sum);
-                }
-            }
-        }
-        slots
-    }
-
-    fn take_cfg(&mut self, shard: usize) -> SpecConfig {
-        self.cfgs[shard].take().expect("exact subchunk result")
-    }
-
-    fn take_pending(&mut self, shard: usize) -> Vec<(u64, u32)> {
-        std::mem::take(&mut self.pendings[shard])
-    }
-
-    fn take_sum(&mut self, shard: usize, index: usize) -> ChunkSummary {
-        self.sums[shard][index].take().expect("subchunk summary")
-    }
-}
-
-/// Component execution class for a shard that failed whole-shard
-/// chunking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CompClass {
-    /// Counter-free, unanchored, acyclic: bounded-overlap chunkable.
-    Easy,
-    /// Hard but speculation-eligible (any counters are terminal).
-    Spec,
-    /// A counter drives successors: sequential whole-input scan.
-    Unsound,
 }
 
 /// Marks (by component label) every component containing a cycle
@@ -838,7 +424,7 @@ fn mark_reachable_cycles(p: &Automaton, labels: &[usize], cyclic: &mut [bool]) {
 /// chunking: no counters (their state depends on the whole prefix), no
 /// start-of-data anchors (chunk workers start mid-stream), and no
 /// reachable cycles (unbounded match length means no finite overlap
-/// window). Shards failing this are chunked speculatively instead.
+/// window). Shards failing this scan the whole input on one worker.
 fn chunk_window(p: &Automaton) -> Option<usize> {
     if p.counter_count() > 0 {
         return None;
@@ -875,14 +461,13 @@ fn build_shard_engine(p: &Automaton, prefilter: bool) -> Result<ShardEngine, Eng
     })
 }
 
-/// Per-thread job executor. Keeps one engine clone (or speculative
-/// scratch) per shard so a worker that draws several chunks of the same
-/// shard allocates it only once (both `scan` and `reset_stream`/`feed`
-/// restart from initial state, so reuse across jobs is sound).
+/// Per-thread job executor. Keeps one engine clone per shard so a worker
+/// that draws several chunks of the same shard allocates it only once
+/// (both `scan` and `reset_stream`/`feed` restart from initial state, so
+/// reuse across jobs is sound).
 struct Worker<'a> {
     shards: &'a [Shard],
     engines: Vec<Option<ShardEngine>>,
-    scratches: Vec<Option<FrontierScratch>>,
 }
 
 impl<'a> Worker<'a> {
@@ -890,107 +475,30 @@ impl<'a> Worker<'a> {
         Worker {
             shards,
             engines: vec![None; shards.len()],
-            scratches: vec![None; shards.len()],
         }
     }
 
-    /// Executes one job. Conventional jobs append owned reports
-    /// (absolute offsets) to `out`; speculative jobs deposit their
-    /// products into `spec_out`. `base` is the stream offset of
-    /// `input[0]` (zero for block scans).
-    fn run_job(
-        &mut self,
-        job: Job,
-        input: &[u8],
-        base: u64,
-        out: &mut Vec<Report>,
-        spec_out: &mut Vec<SpecOut>,
-    ) {
-        match job.kind {
-            JobKind::Whole => {
-                let engine = self.engine(job.shard);
-                let mut sink = VecSink(out);
-                engine.scan(input, &mut sink);
-            }
-            JobKind::Window(window) => {
-                // Re-scan up to `window - 1` bytes before the chunk so
-                // matches spanning the boundary are seen, then keep only
-                // the reports this chunk owns.
-                let engine = self.engine(job.shard);
-                let slice_start = job.start.saturating_sub(window - 1);
-                let eod = job.end == input.len();
-                let mut sink = RebaseSink {
-                    base: slice_start as u64,
-                    min: job.start as u64,
-                    out,
-                };
-                engine.reset_stream();
-                engine.feed(&input[slice_start..job.end], eod, &mut sink);
-            }
-            JobKind::Exact { last, maybe_last } => {
-                let Shard::Spec { scanner, stream } = &self.shards[job.shard] else {
-                    unreachable!("exact job on a non-speculative shard")
-                };
-                let scratch =
-                    self.scratches[job.shard].get_or_insert_with(|| scanner.new_scratch());
-                // The stream configuration is adopted (not mutated) so a
-                // failed scan cannot corrupt shard state.
-                let mut cfg = stream.cfg.clone();
-                let entry = std::mem::take(&mut cfg.active);
-                let mut reports = Vec::new();
-                let mut pending = Vec::new();
-                let mut exits = Vec::new();
-                scanner.run_exact(
-                    scratch,
-                    None,
-                    &entry,
-                    &mut cfg.counts,
-                    &mut cfg.latched,
-                    &input[job.start..job.end],
-                    base + job.start as u64,
-                    last,
-                    maybe_last,
-                    &mut reports,
-                    &mut pending,
-                    &mut exits,
-                );
-                exits.sort_unstable();
-                exits.dedup();
-                cfg.active = exits;
-                spec_out.push(SpecOut::Exact {
-                    shard: job.shard,
-                    cfg,
-                    reports,
-                    pending,
-                });
-            }
-            JobKind::Summary {
-                index,
-                last,
-                maybe_last,
-            } => {
-                let Shard::Spec { scanner, .. } = &self.shards[job.shard] else {
-                    unreachable!("summary job on a non-speculative shard")
-                };
-                let scratch =
-                    self.scratches[job.shard].get_or_insert_with(|| scanner.new_scratch());
-                let sum = scanner.summarize(scratch, &input[job.start..job.end], last, maybe_last);
-                spec_out.push(SpecOut::Sum {
-                    shard: job.shard,
-                    index,
-                    sum,
-                });
-            }
-        }
-    }
-
-    fn engine(&mut self, shard: usize) -> &mut ShardEngine {
-        self.engines[shard].get_or_insert_with(|| {
-            let Shard::Engine { engine, .. } = &self.shards[shard] else {
-                unreachable!("engine job on a speculative shard")
-            };
-            engine.clone()
-        })
+    /// Executes one job, appending the reports it owns (absolute
+    /// offsets) to `out`.
+    fn run_job(&mut self, job: Job, input: &[u8], out: &mut Vec<Report>) {
+        let engine =
+            self.engines[job.shard].get_or_insert_with(|| self.shards[job.shard].engine.clone());
+        let Some(window) = job.window else {
+            engine.scan(input, &mut VecSink(out));
+            return;
+        };
+        // Re-scan up to `window - 1` bytes before the chunk so matches
+        // spanning the boundary are seen, then keep only the reports
+        // this chunk owns.
+        let slice_start = job.start.saturating_sub(window - 1);
+        let eod = job.end == input.len();
+        let mut sink = RebaseSink {
+            base: slice_start as u64,
+            min: job.start as u64,
+            out,
+        };
+        engine.reset_stream();
+        engine.feed(&input[slice_start..job.end], eod, &mut sink);
     }
 }
 
@@ -1035,13 +543,7 @@ impl Engine for ParallelScanner {
 impl StreamingEngine for ParallelScanner {
     fn reset_stream(&mut self) {
         for s in &mut self.shards {
-            match s {
-                Shard::Engine { engine, .. } => engine.reset_stream(),
-                Shard::Spec { scanner, stream } => {
-                    stream.cfg = scanner.initial_config();
-                    stream.pending.clear();
-                }
-            }
+            s.engine.reset_stream();
         }
         self.stream_offset = 0;
         self.tail.clear();
@@ -1050,17 +552,11 @@ impl StreamingEngine for ParallelScanner {
     fn stream_quiesced(&self) -> bool {
         self.stream_offset == 0
             && self.tail.is_empty()
-            && self.shards.iter().all(|s| match s {
-                Shard::Engine { engine, .. } => engine.stream_quiesced(),
-                Shard::Spec { scanner, stream } => {
-                    scanner.quiesced(&stream.cfg) && stream.pending.is_empty()
-                }
-            })
+            && self.shards.iter().all(|s| s.engine.stream_quiesced())
     }
 
-    /// Streaming parallelizes conventional shards across shards (each
-    /// engine carries state between `feed` calls) and speculative shards
-    /// across subchunks of the fed chunk.
+    /// Streaming parallelizes across shards only (each engine carries
+    /// state between `feed` calls).
     fn feed(&mut self, chunk: &[u8], eod: bool, sink: &mut dyn ReportSink) {
         for r in self.feed_merged(chunk, eod) {
             sink.report(r.offset, r.code);
@@ -1100,6 +596,11 @@ mod tests {
         sink.reports().to_vec()
     }
 
+    fn prefiltered_shards(scanner: &ParallelScanner) -> usize {
+        let is_pf = |s: &&Shard| matches!(s.engine, ShardEngine::Prefilter(_));
+        scanner.shards.iter().filter(is_pf).count()
+    }
+
     #[test]
     fn matches_nfa_on_multi_component_words() {
         let a = words(&[b"cat", b"dog", b"catalog", b"og"]);
@@ -1135,9 +636,9 @@ mod tests {
     }
 
     #[test]
-    fn terminal_counters_chunk_speculatively() {
-        // k at least 3 times (latched counter): previously a whole-input
-        // fallback, now a speculative shard.
+    fn terminal_counters_scan_whole_input() {
+        // k at least 3 times (latched counter): the count depends on the
+        // whole prefix, so the shard is one sequential job.
         let mut a = Automaton::new();
         let s = a.add_ste(SymbolClass::from_byte(b'k'), StartKind::AllInput);
         let c = a.add_counter(3, CounterMode::Latch);
@@ -1145,8 +646,7 @@ mod tests {
         a.set_report(c, 9);
         let scanner = ParallelScanner::new(&a, 4).unwrap();
         assert_eq!(scanner.chunkable_shard_count(), 0);
-        assert_eq!(scanner.speculative_shard_count(), 1);
-        assert_eq!(scanner.whole_input_shard_count(), 0);
+        assert_eq!(scanner.whole_input_shard_count(), 1);
         let input = b"kkxkkkxk";
         for threads in [1, 2, 4] {
             assert_eq!(parallel_reports(&a, threads, input), nfa_reports(&a, input));
@@ -1154,9 +654,8 @@ mod tests {
     }
 
     #[test]
-    fn non_terminal_counters_fall_back_to_whole_input() {
-        // The counter drives a successor, so speculation is unsound and
-        // the component keeps the sequential whole-input path.
+    fn non_terminal_counters_scan_whole_input() {
+        // The counter drives a successor: same sequential path.
         let mut a = Automaton::new();
         let s = a.add_ste(SymbolClass::from_byte(b'k'), StartKind::AllInput);
         let c = a.add_counter(2, CounterMode::Latch);
@@ -1165,7 +664,7 @@ mod tests {
         a.add_edge(c, y);
         a.set_report(y, 5);
         let scanner = ParallelScanner::new(&a, 4).unwrap();
-        assert_eq!(scanner.speculative_shard_count(), 0);
+        assert_eq!(scanner.chunkable_shard_count(), 0);
         assert_eq!(scanner.whole_input_shard_count(), 1);
         let input = b"kkyky";
         for threads in [1, 2, 4] {
@@ -1174,10 +673,11 @@ mod tests {
     }
 
     #[test]
-    fn mixed_shard_splits_into_spec_and_fallback() {
-        // One taggable counter component plus one non-terminal-counter
-        // component packed together: the shard splits.
-        let mut a = Automaton::new();
+    fn mixed_shard_splits_into_chunkable_and_whole_input() {
+        // Two counter components plus an easy word packed into one
+        // shard: the shard splits, the hard components share one
+        // whole-input job and the word keeps its overlap window.
+        let mut a = words(&[b"my"]);
         let s = a.add_ste(SymbolClass::from_byte(b'k'), StartKind::AllInput);
         let c = a.add_counter(3, CounterMode::Latch);
         a.add_edge(s, c);
@@ -1189,7 +689,8 @@ mod tests {
         a.add_edge(c2, y);
         a.set_report(y, 5);
         let scanner = ParallelScanner::new(&a, 1).unwrap();
-        assert_eq!(scanner.speculative_shard_count(), 1);
+        assert_eq!(scanner.shard_count(), 2);
+        assert_eq!(scanner.chunkable_shard_count(), 1);
         assert_eq!(scanner.whole_input_shard_count(), 1);
         let input = b"kkmkymmyk";
         for threads in [1, 2, 4] {
@@ -1198,7 +699,7 @@ mod tests {
     }
 
     #[test]
-    fn cycles_chunk_speculatively() {
+    fn cycles_scan_whole_input() {
         // a(b)*c — unbounded match span, no finite overlap window.
         let mut a = Automaton::new();
         let s = a.add_ste(SymbolClass::from_byte(b'a'), StartKind::AllInput);
@@ -1211,7 +712,7 @@ mod tests {
         a.set_report(end, 0);
         let scanner = ParallelScanner::new(&a, 4).unwrap();
         assert_eq!(scanner.chunkable_shard_count(), 0);
-        assert_eq!(scanner.speculative_shard_count(), 1);
+        assert_eq!(scanner.whole_input_shard_count(), 1);
         let input = b"abbbbbbbbbbcxac";
         for threads in [1, 2, 4, 8] {
             assert_eq!(parallel_reports(&a, threads, input), nfa_reports(&a, input));
@@ -1219,7 +720,7 @@ mod tests {
     }
 
     #[test]
-    fn start_of_data_chunks_speculatively() {
+    fn start_of_data_scans_whole_input() {
         let mut a = Automaton::new();
         let (_, last) = a.add_chain(
             &[SymbolClass::from_byte(b'q'), SymbolClass::from_byte(b'r')],
@@ -1228,7 +729,7 @@ mod tests {
         a.set_report(last, 0);
         let scanner = ParallelScanner::new(&a, 4).unwrap();
         assert_eq!(scanner.chunkable_shard_count(), 0);
-        assert_eq!(scanner.speculative_shard_count(), 1);
+        assert_eq!(scanner.whole_input_shard_count(), 1);
         // Must match only at offset 1, never at the later "qr".
         let input = b"qrxqr";
         for threads in [1, 2, 4] {
@@ -1264,7 +765,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_speculative_shards_match_whole_scan() {
+    fn streaming_hard_shards_match_whole_scan() {
         // Counter + cycle + anchor all in one automaton; every cut point
         // must produce the whole-scan stream.
         let mut a = Automaton::new();
@@ -1350,7 +851,7 @@ mod tests {
         let expected = nfa_reports(&a, input);
         for threads in [1, 2, 4] {
             let mut scanner = ParallelScanner::with_prefilter(&a, threads, true).unwrap();
-            assert!(scanner.prefiltered_shard_count() >= 1);
+            assert!(prefiltered_shards(&scanner) >= 1);
             let mut sink = CollectSink::new();
             scanner.scan(input, &mut sink);
             assert_eq!(sink.reports().to_vec(), expected, "{threads} threads");
@@ -1364,7 +865,7 @@ mod tests {
             );
         }
         let plain = ParallelScanner::new(&a, 4).unwrap();
-        assert_eq!(plain.prefiltered_shard_count(), 0);
+        assert_eq!(prefiltered_shards(&plain), 0);
     }
 
     #[test]

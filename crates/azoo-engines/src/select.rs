@@ -36,24 +36,6 @@ pub enum EngineChoice {
     },
 }
 
-/// Picks the fastest applicable engine for `a`:
-///
-/// 1. chain-shaped automata → [`BitParallelEngine`] (dense bitwise
-///    advance; best for literal sets, RF chains, CRISPR filters) —
-///    chosen only while the state vector stays cache-resident;
-/// 2. counter-free automata of bounded size → the DFA tier:
-///    [`ShengEngine`] when the machine determinizes to at most 16
-///    states (single-`pshufb` stepping), [`LazyDfaEngine`] otherwise;
-/// 3. automata whose components mostly carry required literals →
-///    [`PrefilterEngine`] (admitted by [`prefilter_gate`], the
-///    [`PREFILTER_COVERAGE_GATE`](crate::PREFILTER_COVERAGE_GATE)
-///    weighted by literal length and trigger bucket load);
-/// 4. everything else (counters, huge NFAs) → [`NfaEngine`].
-///
-/// # Errors
-///
-/// Propagates [`EngineError::Invalid`] if the automaton fails
-/// validation.
 /// Pre-flight structural check run before any engine is constructed.
 ///
 /// Release builds run [`Automaton::validate`] (stops at the first
@@ -73,6 +55,24 @@ fn preflight(a: &Automaton) -> Result<(), EngineError> {
     }
 }
 
+/// Picks the fastest applicable engine for `a`:
+///
+/// 1. chain-shaped automata → [`BitParallelEngine`] (dense bitwise
+///    advance; best for literal sets, RF chains, CRISPR filters) —
+///    chosen only while the state vector stays cache-resident;
+/// 2. counter-free automata of bounded size → the DFA tier:
+///    [`ShengEngine`] when the machine determinizes to at most 16
+///    states (single-`pshufb` stepping), [`LazyDfaEngine`] otherwise;
+/// 3. automata whose components mostly carry required literals →
+///    [`PrefilterEngine`] (admitted by [`prefilter_gate`], the
+///    [`PREFILTER_COVERAGE_GATE`](crate::PREFILTER_COVERAGE_GATE)
+///    weighted by literal length and trigger bucket load);
+/// 4. everything else (counters, huge NFAs) → [`NfaEngine`].
+///
+/// # Errors
+///
+/// Propagates [`EngineError::Invalid`] if the automaton fails
+/// validation.
 pub fn select_engine(a: &Automaton) -> Result<(EngineChoice, Box<dyn Engine>), EngineError> {
     let (choice, engine) = select_session_engine(a)?;
     Ok((choice, engine))

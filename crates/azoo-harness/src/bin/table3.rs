@@ -14,7 +14,7 @@
 
 use azoo_core::Automaton;
 use azoo_engines::{Engine, LazyDfaEngine, NfaEngine};
-use azoo_harness::{arg_value, scale_from_args, Table};
+use azoo_harness::{arg_value, scale_from_args, time_scan_with, Table};
 use azoo_passes::remove_dead;
 use azoo_zoo::sequence_match::{append_filter, generate_sequence, transaction_stream};
 use azoo_zoo::Scale;
@@ -70,58 +70,42 @@ fn main() {
     fn steady(engine: &mut dyn Engine, input: &[u8]) -> f64 {
         let mut sink = azoo_engines::NullSink::new();
         engine.scan(input, &mut sink); // warm (and build DFA caches)
-        let mut reps = 0u32;
-        let t = std::time::Instant::now();
-        loop {
-            engine.scan(input, &mut sink);
+        let (mut total, mut reps) = (0.0, 0u32);
+        while total <= 0.5 {
+            total += time_scan_with(engine, input, &mut sink);
             reps += 1;
-            if t.elapsed().as_secs_f64() > 0.5 {
-                break;
-            }
         }
-        t.elapsed().as_secs_f64() / reps as f64
+        total / f64::from(reps)
     }
-    // VASim-equivalent row.
     let mut n1 = NfaEngine::new(&native).expect("valid");
     let mut n2 = NfaEngine::new(&padded).expect("valid");
-    let t_native = steady(&mut n1, &input);
-    let t_padded = steady(&mut n2, &input);
-    table.row(&[
-        "NFA (VASim-equiv.)".into(),
-        format!("{t_native:.3}"),
-        format!("{t_padded:.3}"),
-        format!("{:+.1}%", 100.0 * (t_padded / t_native - 1.0)),
-        "26.7%".into(),
-    ]);
     // Hyperscan-style row: the warm-up scan inside `steady` populates the
     // DFA cache, so the measured iterations run at cache-hit speed, as a
     // block-mode regex engine would deliver.
     let mut d1 = LazyDfaEngine::with_max_states(&native, 1 << 17).expect("no counters");
     let mut d2 = LazyDfaEngine::with_max_states(&padded, 1 << 17).expect("no counters");
-    let t_native_d = steady(&mut d1, &input);
-    let t_padded_d = steady(&mut d2, &input);
-    table.row(&[
-        "Lazy DFA (raw)".into(),
-        format!("{t_native_d:.3}"),
-        format!("{t_padded_d:.3}"),
-        format!("{:+.1}%", 100.0 * (t_padded_d / t_native_d - 1.0)),
-        "-".into(),
-    ]);
     // Production regex compilers (Hyperscan) prune states that cannot
     // reach a report before codegen; pad states are exactly such states.
     let native_pruned = remove_dead(&native);
     let padded_pruned = remove_dead(&padded);
     let mut p1 = LazyDfaEngine::with_max_states(&native_pruned, 1 << 17).expect("no counters");
     let mut p2 = LazyDfaEngine::with_max_states(&padded_pruned, 1 << 17).expect("no counters");
-    let t_native_p = steady(&mut p1, &input);
-    let t_padded_p = steady(&mut p2, &input);
-    table.row(&[
-        "DFA+prune (Hyperscan)".into(),
-        format!("{t_native_p:.3}"),
-        format!("{t_padded_p:.3}"),
-        format!("{:+.1}%", 100.0 * (t_padded_p / t_native_p - 1.0)),
-        "2.92%".into(),
-    ]);
+    let rows: [(&str, &mut dyn Engine, &mut dyn Engine, &str); 3] = [
+        ("NFA (VASim-equiv.)", &mut n1, &mut n2, "26.7%"),
+        ("Lazy DFA (raw)", &mut d1, &mut d2, "-"),
+        ("DFA+prune (Hyperscan)", &mut p1, &mut p2, "2.92%"),
+    ];
+    for (label, native_engine, padded_engine, paper) in rows {
+        let t_native = steady(native_engine, &input);
+        let t_padded = steady(padded_engine, &input);
+        table.row(&[
+            label.into(),
+            format!("{t_native:.3}"),
+            format!("{t_padded:.3}"),
+            format!("{:+.1}%", 100.0 * (t_padded / t_native - 1.0)),
+            paper.into(),
+        ]);
+    }
     println!(
         "\n(lazy-DFA diagnostics: native {} states / {} flushes, padded {} / {})",
         d1.cached_states(),

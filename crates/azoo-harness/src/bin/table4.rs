@@ -28,7 +28,9 @@ use std::time::Instant;
 use azoo_engines::{
     BitParallelEngine, CountSink, Engine, LazyDfaEngine, ParallelScanner, PrefilterEngine,
 };
-use azoo_harness::{arg_value, flag_present, scale_from_args, write_metrics_json, Table};
+use azoo_harness::{
+    arg_value, flag_present, scale_from_args, time_scan_with, write_metrics_json, Table,
+};
 use azoo_ml::SpatialModel;
 use azoo_serve::MetricsRegistry;
 use azoo_zoo::random_forest::{build, RandomForestParams, Variant};
@@ -75,60 +77,37 @@ fn main() {
 
     let mut rows: Vec<(String, f64)> = Vec::new();
     let metrics = MetricsRegistry::new();
-    // Each timed automata scan is recorded as one "feed" so
-    // --metrics-json exports the run in the serve schema.
-    let record = |metrics: &MetricsRegistry, sink: &CountSink, t: Instant| {
-        let nanos = t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        metrics.record_feed(bench.input.len() as u64, sink.count(), nanos);
-    };
-
-    // Lazy-DFA (Hyperscan stand-in).
-    {
-        let mut dfa =
-            LazyDfaEngine::with_max_states(&bench.fa.automaton, 1 << 16).expect("no counters");
-        let mut sink = CountSink::new();
-        let t = Instant::now();
-        dfa.scan(&bench.input, &mut sink);
-        let kcps = n as f64 / t.elapsed().as_secs_f64() / 1e3;
-        record(&metrics, &sink, t);
-        rows.push(("Lazy DFA (Hyperscan)".into(), kcps));
-    }
-    // Bit-parallel engine.
-    {
-        let mut bp = BitParallelEngine::new(&bench.fa.automaton).expect("chains");
-        let mut sink = CountSink::new();
-        let t = Instant::now();
-        bp.scan(&bench.input, &mut sink);
-        let kcps = n as f64 / t.elapsed().as_secs_f64() / 1e3;
-        record(&metrics, &sink, t);
-        rows.push(("Bit-parallel (ours)".into(), kcps));
-    }
-    // Sharded/chunked NFA across worker threads.
-    {
-        let mut par = ParallelScanner::with_prefilter(&bench.fa.automaton, threads, prefilter)
-            .expect("valid");
-        let mut sink = CountSink::new();
-        let t = Instant::now();
-        par.scan(&bench.input, &mut sink);
-        let kcps = n as f64 / t.elapsed().as_secs_f64() / 1e3;
-        record(&metrics, &sink, t);
-        rows.push((format!("Parallel NFA x{threads}"), kcps));
-    }
+    let a = &bench.fa.automaton;
+    let mut engines: Vec<(String, Box<dyn Engine>)> = vec![
+        (
+            "Lazy DFA (Hyperscan)".into(),
+            Box::new(LazyDfaEngine::with_max_states(a, 1 << 16).expect("no counters")),
+        ),
+        (
+            "Bit-parallel (ours)".into(),
+            Box::new(BitParallelEngine::new(a).expect("chains")),
+        ),
+        // Sharded/chunked NFA across worker threads.
+        (
+            format!("Parallel NFA x{threads}"),
+            Box::new(ParallelScanner::with_prefilter(a, threads, prefilter).expect("valid")),
+        ),
+    ];
     // Literal-prefilter engine (opt-in row; the RF chains carry narrow
     // feature-range classes, so this documents how much of the model the
     // literal analysis can actually gate).
     if prefilter {
-        let mut pf = PrefilterEngine::new(&bench.fa.automaton).expect("valid");
-        let coverage = pf.coverage();
+        let pf = PrefilterEngine::new(a).expect("valid");
+        let label = format!("Prefilter NFA ({:.0}% cov)", pf.coverage() * 100.0);
+        engines.push((label, Box::new(pf)));
+    }
+    // Each timed automata scan is recorded as one "feed" so
+    // --metrics-json exports the run in the serve schema.
+    for (label, mut engine) in engines {
         let mut sink = CountSink::new();
-        let t = Instant::now();
-        pf.scan(&bench.input, &mut sink);
-        let kcps = n as f64 / t.elapsed().as_secs_f64() / 1e3;
-        record(&metrics, &sink, t);
-        rows.push((
-            format!("Prefilter NFA ({:.0}% cov)", coverage * 100.0),
-            kcps,
-        ));
+        let secs = time_scan_with(engine.as_mut(), &bench.input, &mut sink);
+        metrics.record_feed(bench.input.len() as u64, sink.count(), (secs * 1e9) as u64);
+        rows.push((label, n as f64 / secs / 1e3));
     }
     // Native, single-threaded. Repeat to get a measurable duration.
     {

@@ -77,8 +77,8 @@ impl EngineKind {
                 threads: 3,
                 prefilter: true,
             },
-            // Thread counts above the shard count drive the speculative
-            // subchunk split on counter/cycle/anchor shards.
+            // Thread counts above the shard count drive bounded-overlap
+            // window chunking on the easy shards.
             EngineKind::Parallel {
                 threads: 4,
                 prefilter: false,

@@ -74,13 +74,6 @@ pub mod ranks {
     /// Acquired bare, only when the free list is empty.
     pub const DB_PROTO: LockRank = LockRank::new(60, "db-proto");
 
-    /// `ParallelScanner` speculative-summary accumulator (azoo-engines):
-    /// workers deposit per-subchunk transfer summaries for the
-    /// main-thread stitch. Acquired bare, never while holding
-    /// [`ENGINE_MERGE`] (ranked below it so a worker could legally
-    /// escalate, though none does today).
-    pub const ENGINE_SUMMARY: LockRank = LockRank::new(65, "engine-summary");
-
     /// `ParallelScanner` merge accumulator (azoo-engines): workers
     /// append their locally-collected report batches. Acquired bare,
     /// once per worker per scan.
@@ -105,7 +98,6 @@ mod tests {
             ranks::SERVE_TENANTS,
             ranks::DB_POOL,
             ranks::DB_PROTO,
-            ranks::ENGINE_SUMMARY,
             ranks::ENGINE_MERGE,
         ];
         for pair in table.windows(2) {

@@ -1,11 +1,11 @@
-//! Differential tests for the speculative chunk-parallel scanner on the
-//! three shapes that used to force a whole-input fallback: counter-bearing
-//! components, reachable cycles, and `StartOfData` anchors. The
-//! `ParallelScanner` must produce the *byte-identical* sorted report
-//! stream as the single-threaded [`NfaEngine`] at every thread count —
-//! both for block scans (where the input is split into speculative
-//! subchunks stitched by summary composition) and for streaming feeds
-//! (including 1-byte and empty chunks).
+//! Differential tests for the parallel scanner on the three shapes that
+//! have no finite overlap window: counter-bearing components, reachable
+//! cycles, and `StartOfData` anchors. Each such component scans the whole
+//! input on one worker while the easy components packed beside it keep
+//! bounded-overlap chunking, and the `ParallelScanner` must produce the
+//! *byte-identical* sorted report stream as the single-threaded
+//! [`NfaEngine`] at every thread count — both for block scans and for
+//! streaming feeds (including 1-byte and empty chunks).
 
 use automatazoo::core::{Automaton, CounterMode, StartKind, SymbolClass};
 use automatazoo::engines::{
@@ -51,8 +51,7 @@ fn nfa_streamed_reports(a: &Automaton, chunks: &[&[u8]]) -> Vec<Report> {
 
 /// `ab` repeated into a terminal latch counter with an AllInput reset —
 /// the SPM shape: counting requires the true prefix state, so a naive
-/// chunk scan is unsound and the old scanner ran the whole input on one
-/// worker.
+/// chunk scan is unsound.
 fn counter_machine(mode: CounterMode) -> Automaton {
     let mut a = Automaton::new();
     let s0 = a.add_ste(SymbolClass::from_byte(b'a'), StartKind::AllInput);
@@ -185,29 +184,51 @@ fn anchored_shards_agree_with_nfa_at_every_thread_count() {
 }
 
 #[test]
-fn hard_shapes_actually_take_the_speculative_path() {
+fn each_hard_shape_is_one_whole_input_shard() {
     for a in [
         counter_machine(CounterMode::Latch),
         cycle_machine(),
         anchored_machine(),
     ] {
         let scanner = ParallelScanner::new(&a, 4).expect("valid");
-        assert_eq!(scanner.speculative_shard_count(), 1);
-        assert_eq!(
-            scanner.whole_input_shard_count(),
-            0,
-            "no whole-input fallback for a terminal-counter machine"
-        );
+        assert_eq!(scanner.shard_count(), 1);
+        assert_eq!(scanner.whole_input_shard_count(), 1);
+        assert_eq!(scanner.speculative_shard_count(), 0);
     }
-    // The roster's counter-bearing SPM must chunk speculatively too,
-    // never pinning a shard to a sequential whole-input scan.
+    // Every SPM wC filter ends in a counter: nothing chunks.
     for a in [
         seeded_spm().0,
         BenchmarkId::SeqMatch6w6pWc.build(Scale::Tiny).automaton,
     ] {
         let scanner = ParallelScanner::new(&a, 4).expect("valid");
-        assert!(scanner.speculative_shard_count() >= 1);
-        assert_eq!(scanner.whole_input_shard_count(), 0, "SPM wC");
+        assert_eq!(scanner.whole_input_shard_count(), scanner.shard_count());
+    }
+}
+
+#[test]
+fn hard_component_packed_with_easy_chains_splits_its_shard() {
+    // One thread packs everything into one shard; the counter component
+    // must not drag the chains beside it onto the whole-input path.
+    let mut a = counter_machine(CounterMode::Latch);
+    for (code, word) in [&b"abc"[..], b"cab", b"qz"].iter().enumerate() {
+        let classes: Vec<SymbolClass> = word.iter().map(|&b| SymbolClass::from_byte(b)).collect();
+        let (_, last) = a.add_chain(&classes, StartKind::AllInput);
+        a.set_report(last, 10 + code as u32);
+    }
+    a.validate().expect("valid");
+    let scanner = ParallelScanner::new(&a, 1).expect("valid");
+    assert_eq!(scanner.shard_count(), 2);
+    assert_eq!(scanner.chunkable_shard_count(), 1);
+    assert_eq!(scanner.whole_input_shard_count(), 1);
+    // The random alphabet resets the counter too often to reach 3, so
+    // lead with three `ab`s.
+    let mut input = b"abcababq".to_vec();
+    input.extend(lcg_input(501, 23));
+    let expect = nfa_reports(&a, &input);
+    assert!(expect.iter().any(|r| r.code.0 == 7), "counter fires");
+    assert!(expect.iter().any(|r| r.code.0 >= 10), "chains fire");
+    for &t in THREADS {
+        assert_eq!(parallel_reports(&a, t, &input), expect, "{t} threads");
     }
 }
 
@@ -264,10 +285,7 @@ fn streaming_mixed_chunk_sizes_matches_nfa() {
 }
 
 #[test]
-fn more_subchunks_than_threads_stress() {
-    // A long input at low thread counts forces the job queue to hand
-    // multiple speculative subchunks to the same worker, exercising the
-    // summary-slot indexing rather than a 1:1 worker:chunk mapping.
+fn three_shapes_in_one_automaton_stress() {
     let mut a = Automaton::new();
     // Combine all three hard shapes into one automaton so a single scan
     // carries counter pulses, cycle activity, and the anchor seam.
