@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use azoo_core::stats::{component_labels, reachable_from_starts};
+use azoo_core::stats::{component_profiles, reachable_from_starts, ComponentProfiles};
 use azoo_core::{Automaton, CoreError, Port, StartKind, StateId};
 
 use crate::config::LintConfig;
@@ -238,17 +238,18 @@ pub fn analyze_with(a: &Automaton, cfg: &LintConfig) -> Vec<Diagnostic> {
         em.emit(rule_id, state, e.to_string());
     }
     let reachable = reachable_from_starts(a);
+    let comps = component_profiles(a);
     check_unreachable(a, &reachable, &mut em);
     check_cannot_report(a, &reachable, &mut em);
-    check_report_code_collisions(a, &mut em);
-    check_counters(a, &mut em);
+    check_report_code_collisions(a, &comps, &mut em);
+    check_counters(a, &comps, &mut em);
     check_shadowed_starts(a, &mut em);
     check_all_input_explosion(a, cfg, &mut em);
     check_nfa_hotspots(a, cfg, &mut em);
     check_bit_residue(a, &mut em);
-    check_prefilterable(a, &mut em);
+    check_prefilterable(a, &comps, &mut em);
     check_bisimilar_states(a, &mut em);
-    check_fuzzy_blowup(a, cfg, &mut em);
+    check_fuzzy_blowup(a, &comps, cfg, &mut em);
     em.finish()
 }
 
@@ -256,42 +257,34 @@ pub fn analyze_with(a: &Automaton, cfg: &LintConfig) -> Vec<Diagnostic> {
 /// enabled on nearly every byte — the Σ insertion tracks between layers
 /// are wide classes, so the sustained active frontier scales with
 /// `k × pattern length`, not with how often the pattern occurs. Flag any
-/// *acyclic* component whose wide-class states (128+ symbols) exceed the
-/// budget and make up a substantial share (≥ 1/4, the measured ratio of
-/// insertion tracks in a deep mesh) of the component; the acyclicity
-/// gate keeps Σ-self-loop machines (SeqMatch-style sliding windows) out,
-/// and the share gate keeps large exact machines with a few wildcard
-/// positions out.
-fn check_fuzzy_blowup(a: &Automaton, cfg: &LintConfig, em: &mut Emitter<'_>) {
-    let labels = component_labels(a);
-    let ncomp = labels.iter().copied().max().map_or(0, |m| m + 1);
-    if ncomp == 0 {
-        return;
-    }
-    let cyclic = cyclic_components(a, &labels);
-    let mut wide = vec![0usize; ncomp];
-    let mut states = vec![0usize; ncomp];
-    let mut anchor: Vec<Option<StateId>> = vec![None; ncomp];
+/// component without a start-reachable cycle whose wide-class states
+/// (128+ symbols) exceed the budget and make up a substantial share
+/// (≥ 1/4, the measured ratio of insertion tracks in a deep mesh) of the
+/// component; the cycle gate keeps Σ-self-loop machines (SeqMatch-style
+/// sliding windows) out, and the share gate keeps large exact machines
+/// with a few wildcard positions out.
+fn check_fuzzy_blowup(
+    a: &Automaton,
+    comps: &ComponentProfiles,
+    cfg: &LintConfig,
+    em: &mut Emitter<'_>,
+) {
+    let mut wide = vec![0usize; comps.profiles.len()];
     for (id, e) in a.iter() {
-        let l = labels[id.index()];
-        states[l] += 1;
-        if anchor[l].is_none() {
-            anchor[l] = Some(id);
-        }
         if e.class().is_some_and(|c| c.len() >= 128) {
-            wide[l] += 1;
+            wide[comps.labels[id.index()]] += 1;
         }
     }
-    for l in 0..ncomp {
-        if !cyclic[l] && wide[l] > cfg.fuzzy_active_budget && wide[l] * 4 >= states[l] {
+    for (p, &wide) in comps.profiles.iter().zip(&wide) {
+        if p.window.is_some() && wide > cfg.fuzzy_active_budget && wide * 4 >= p.states {
             em.emit(
                 "fuzzy-blowup",
-                anchor[l],
+                Some(p.first_state),
                 format!(
-                    "{} of {} states in this component carry wide (128+ symbol) \
+                    "{wide} of {} states in this component carry wide (128+ symbol) \
                      error-track classes (budget {}); the mesh sustains that frontier \
                      on every byte — lower the edit budget or split the pattern set",
-                    wide[l], states[l], cfg.fuzzy_active_budget
+                    p.states, cfg.fuzzy_active_budget
                 ),
             );
         }
@@ -383,15 +376,14 @@ fn check_cannot_report(a: &Automaton, reachable: &[bool], em: &mut Emitter<'_>) 
     }
 }
 
-fn check_report_code_collisions(a: &Automaton, em: &mut Emitter<'_>) {
-    let labels = component_labels(a);
+fn check_report_code_collisions(a: &Automaton, comps: &ComponentProfiles, em: &mut Emitter<'_>) {
     let mut comps_of_code: HashMap<u32, Vec<usize>> = HashMap::new();
     for (id, e) in a.iter() {
         if let Some(code) = e.report {
-            let comps = comps_of_code.entry(code.0).or_default();
-            let label = labels[id.index()];
-            if !comps.contains(&label) {
-                comps.push(label);
+            let labels = comps_of_code.entry(code.0).or_default();
+            let label = comps.labels[id.index()];
+            if !labels.contains(&label) {
+                labels.push(label);
             }
         }
     }
@@ -411,21 +403,19 @@ fn check_report_code_collisions(a: &Automaton, em: &mut Emitter<'_>) {
 }
 
 /// Latch-without-reset and counter-target-unreachable.
-fn check_counters(a: &Automaton, em: &mut Emitter<'_>) {
+fn check_counters(a: &Automaton, comps: &ComponentProfiles, em: &mut Emitter<'_>) {
     if a.counter_count() == 0 {
         return;
     }
     let pred = a.predecessors();
-    let labels = component_labels(a);
-    let cyclic = cyclic_components(a, &labels);
     // Per component: STE count and whether every start is StartOfData
     // (with at least one start present).
-    let ncomp = labels.iter().copied().max().map_or(0, |m| m + 1);
+    let ncomp = comps.profiles.len();
     let mut ste_count = vec![0usize; ncomp];
     let mut sod_only = vec![true; ncomp];
     let mut has_start = vec![false; ncomp];
     for (id, e) in a.iter() {
-        let l = labels[id.index()];
+        let l = comps.labels[id.index()];
         if e.is_ste() {
             ste_count[l] += 1;
         }
@@ -452,11 +442,13 @@ fn check_counters(a: &Automaton, em: &mut Emitter<'_>) {
             );
         }
         // A counter absorbs at most one enable pulse per input symbol. In
-        // an acyclic subgraph whose only starts are StartOfData, activity
-        // dies out after at most (STE count) symbols, so total pulses are
-        // bounded by the subgraph's STE count.
-        let l = labels[id.index()];
-        if !cyclic[l] && sod_only[l] && has_start[l] && (target as usize) > ste_count[l] {
+        // a subgraph whose only starts are StartOfData and that has no
+        // start-reachable cycle, activity dies out after at most (STE
+        // count) symbols, so total pulses are bounded by the subgraph's
+        // STE count. A cycle no start reaches never carries activity.
+        let l = comps.labels[id.index()];
+        let acyclic = comps.profiles[l].window.is_some();
+        if acyclic && sod_only[l] && has_start[l] && (target as usize) > ste_count[l] {
             em.emit(
                 "counter-target-unreachable",
                 Some(id),
@@ -467,45 +459,6 @@ fn check_counters(a: &Automaton, em: &mut Emitter<'_>) {
             );
         }
     }
-}
-
-/// Which weakly-connected components contain a directed cycle.
-fn cyclic_components(a: &Automaton, labels: &[usize]) -> Vec<bool> {
-    let n = a.state_count();
-    let ncomp = labels.iter().copied().max().map_or(0, |m| m + 1);
-    let mut cyclic = vec![false; ncomp];
-    const WHITE: u8 = 0;
-    const GRAY: u8 = 1;
-    const BLACK: u8 = 2;
-    let mut color = vec![WHITE; n];
-    let mut stack: Vec<(usize, usize)> = Vec::new();
-    for root in 0..n {
-        if color[root] != WHITE {
-            continue;
-        }
-        color[root] = GRAY;
-        stack.push((root, 0));
-        while let Some(frame) = stack.last_mut() {
-            let (v, ei) = *frame;
-            let succs = a.successors(StateId::new(v));
-            if ei < succs.len() {
-                frame.1 += 1;
-                let t = succs[ei].to.index();
-                match color[t] {
-                    WHITE => {
-                        color[t] = GRAY;
-                        stack.push((t, 0));
-                    }
-                    GRAY => cyclic[labels[t]] = true,
-                    _ => {}
-                }
-            } else {
-                color[v] = BLACK;
-                stack.pop();
-            }
-        }
-    }
-    cyclic
 }
 
 fn check_shadowed_starts(a: &Automaton, em: &mut Emitter<'_>) {
@@ -594,10 +547,10 @@ fn check_nfa_hotspots(a: &Automaton, cfg: &LintConfig, em: &mut Emitter<'_>) {
 /// prefilter cannot gate gets one finding naming the blocker, so
 /// `azoo-lint --bench all` shows which parts of the suite fall back to
 /// full simulation. Fully gated automata stay clean.
-fn check_prefilterable(a: &Automaton, em: &mut Emitter<'_>) {
+fn check_prefilterable(a: &Automaton, comps: &ComponentProfiles, em: &mut Emitter<'_>) {
     use azoo_core::stats::{prefilter_analysis, PrefilterBlock, MIN_PREFILTER_LITERAL};
-    for cp in prefilter_analysis(a) {
-        if !cp.reporting || cp.is_prefilterable() {
+    for cp in prefilter_analysis(a, comps) {
+        if !cp.profile.reporting || cp.is_prefilterable() {
             continue;
         }
         let detail = match (cp.block, cp.weak) {
@@ -610,10 +563,10 @@ fn check_prefilterable(a: &Automaton, em: &mut Emitter<'_>) {
         };
         em.emit(
             "prefilterable",
-            Some(cp.first_state),
+            Some(cp.profile.first_state),
             format!(
                 "component of {} state(s) cannot be literal-prefiltered ({detail}); it falls back to full simulation",
-                cp.states
+                cp.profile.states
             ),
         );
     }
@@ -795,6 +748,30 @@ mod tests {
         g.add_edge(t, c);
         g.set_report(c, 0);
         assert!(!rules_of(&analyze(&g)).contains(&"counter-target-unreachable"));
+    }
+
+    #[test]
+    fn unreachable_cycle_does_not_hide_counter_target_unreachable() {
+        // s (StartOfData) -> c (target 5) with an X <-> Y cycle feeding c
+        // that no start reaches: the cycle never carries activity, so at
+        // most 3 pulses (one per STE) ever arrive.
+        let mut a = Automaton::new();
+        let s = a.add_ste(SymbolClass::FULL, StartKind::StartOfData);
+        let c = a.add_counter(5, CounterMode::Pulse);
+        a.add_edge(s, c);
+        a.set_report(c, 0);
+        let x = a.add_ste(SymbolClass::FULL, StartKind::None);
+        let y = a.add_ste(SymbolClass::FULL, StartKind::None);
+        a.add_edge(x, y);
+        a.add_edge(y, x);
+        a.add_edge(y, c);
+        let diags = analyze(&a);
+        assert!(
+            diags
+                .iter()
+                .any(|d| d.rule == "counter-target-unreachable" && d.state == Some(c)),
+            "{diags:?}"
+        );
     }
 
     #[test]

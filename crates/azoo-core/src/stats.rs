@@ -43,7 +43,14 @@ impl AutomatonStats {
     pub fn compute(a: &Automaton) -> AutomatonStats {
         let states = a.state_count();
         let edges = a.edge_count();
-        let sizes = component_sizes(a);
+        let mut sizes: Vec<usize> = component_profiles(a)
+            .profiles
+            .iter()
+            .map(|p| p.states)
+            .collect();
+        // Summed in ascending size order: Table I's std-dev column
+        // depends on the float summation order.
+        sizes.sort_unstable();
         let subgraphs = sizes.len();
         let avg = if subgraphs == 0 {
             0.0
@@ -77,54 +84,13 @@ impl AutomatonStats {
     }
 }
 
-/// Sizes of the weakly connected components of `a`, via union-find.
-pub fn component_sizes(a: &Automaton) -> Vec<usize> {
-    let n = a.state_count();
-    let mut uf = UnionFind::new(n);
-    for (id, _) in a.iter() {
-        for e in a.successors(id) {
-            uf.union(id.index(), e.to.index());
-        }
-    }
-    let mut counts = std::collections::HashMap::new();
-    for i in 0..n {
-        *counts.entry(uf.find(i)).or_insert(0usize) += 1;
-    }
-    let mut sizes: Vec<usize> = counts.into_values().collect();
-    sizes.sort_unstable();
-    sizes
-}
-
-/// Assigns each state its weakly-connected-component index (dense, ordered
-/// by smallest member id).
-pub fn component_labels(a: &Automaton) -> Vec<usize> {
-    let n = a.state_count();
-    let mut uf = UnionFind::new(n);
-    for (id, _) in a.iter() {
-        for e in a.successors(id) {
-            uf.union(id.index(), e.to.index());
-        }
-    }
-    let mut label_of_root = std::collections::HashMap::new();
-    let mut labels = vec![0usize; n];
-    let mut next = 0usize;
-    for (i, label) in labels.iter_mut().enumerate() {
-        let root = uf.find(i);
-        *label = *label_of_root.entry(root).or_insert_with(|| {
-            let l = next;
-            next += 1;
-            l
-        });
-    }
-    labels
-}
-
-/// Per-component structural profile: the facts reduction and lint
-/// policies gate on (see `azoo-passes`' reduction refusal matrix).
+/// Per-component structural profile: the facts every per-subgraph
+/// decision gates on — prefilter blocks and chunk-overlap windows (a
+/// bounded window exists only without counters, `StartOfData` anchors
+/// and reachable cycles), the reduction refusal matrix, and the mesh and
+/// counter lints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ComponentProfile {
-    /// Dense component label, as assigned by [`component_labels`].
-    pub component: usize,
     /// Smallest state id in the component (diagnostic anchor).
     pub first_state: StateId,
     /// States in the component.
@@ -133,31 +99,110 @@ pub struct ComponentProfile {
     pub has_counter: bool,
     /// Whether the component contains a `StartOfData`-anchored STE.
     pub has_start_of_data: bool,
+    /// Whether any start-reachable element reports. A component that
+    /// never reports needs no scanning at all.
+    pub reporting: bool,
+    /// States on the longest start-rooted path — the match-span bound —
+    /// or `None` if and only if a cycle is reachable from a start.
+    /// `Some(0)` for a component without start states.
+    pub window: Option<usize>,
 }
 
-/// Profiles every weakly connected component of `a`, in label order.
-pub fn component_profiles(a: &Automaton) -> Vec<ComponentProfile> {
-    let labels = component_labels(a);
-    let ncomp = labels.iter().copied().max().map_or(0, |m| m + 1);
-    let mut out: Vec<ComponentProfile> = (0..ncomp)
-        .map(|c| ComponentProfile {
-            component: c,
-            first_state: StateId::new(0), // overwritten by the first member
-            states: 0,
-            has_counter: false,
-            has_start_of_data: false,
-        })
-        .collect();
-    for (id, e) in a.iter() {
-        let p = &mut out[labels[id.index()]];
-        if p.states == 0 {
-            p.first_state = id;
+/// The weakly-connected-component record of an automaton, from
+/// [`component_profiles`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ComponentProfiles {
+    /// Dense component label of every state, ordered by smallest member
+    /// id.
+    pub labels: Vec<usize>,
+    /// One profile per component, indexed by label.
+    pub profiles: Vec<ComponentProfile>,
+}
+
+/// Profiles every weakly connected component of `a`: one union-find pass
+/// labels the states and counts their elements, then one depth-first
+/// search rooted at the start states finds reachable reports, reachable
+/// cycles (back edges) and the longest start-rooted path.
+///
+/// Both activation and reset edges are followed. Counter elements on a
+/// path consume no symbol, so for components with counters `window` is
+/// an over-estimate, never an under-estimate.
+pub fn component_profiles(a: &Automaton) -> ComponentProfiles {
+    let n = a.state_count();
+    let mut uf = UnionFind::new(n);
+    for (id, _) in a.iter() {
+        for e in a.successors(id) {
+            uf.union(id.index(), e.to.index());
         }
+    }
+    let mut label_of_root = vec![usize::MAX; n];
+    let mut labels = vec![0usize; n];
+    let mut profiles: Vec<ComponentProfile> = Vec::new();
+    for (id, e) in a.iter() {
+        let root = uf.find(id.index());
+        if label_of_root[root] == usize::MAX {
+            label_of_root[root] = profiles.len();
+            profiles.push(ComponentProfile {
+                first_state: id,
+                states: 0,
+                has_counter: false,
+                has_start_of_data: false,
+                reporting: false,
+                window: Some(0),
+            });
+        }
+        labels[id.index()] = label_of_root[root];
+        let p = &mut profiles[label_of_root[root]];
         p.states += 1;
         p.has_counter |= e.is_counter();
         p.has_start_of_data |= e.start_kind() == crate::element::StartKind::StartOfData;
     }
-    out
+
+    const WHITE: u8 = 0; // unvisited
+    const GRAY: u8 = 1; // on the DFS stack
+    const BLACK: u8 = 2; // finished, `depth` valid
+    let mut color = vec![WHITE; n];
+    // Longest path (in states) starting at each finished node. Edges
+    // never leave a component, so a cyclic component's meaningless
+    // depths cannot leak into another's window.
+    let mut depth = vec![0usize; n];
+    let mut stack: Vec<(usize, usize)> = Vec::new();
+    for start in a.start_states() {
+        let s = start.index();
+        if color[s] == WHITE {
+            color[s] = GRAY;
+            stack.push((s, 0));
+        }
+        while let Some(frame) = stack.last_mut() {
+            let (v, ei) = *frame;
+            let succs = a.successors(StateId::new(v));
+            if ei < succs.len() {
+                frame.1 += 1;
+                let t = succs[ei].to.index();
+                match color[t] {
+                    WHITE => {
+                        color[t] = GRAY;
+                        stack.push((t, 0));
+                    }
+                    // Back edge: a reachable cycle, no finite window.
+                    GRAY => profiles[labels[t]].window = None,
+                    _ => {}
+                }
+            } else {
+                depth[v] = 1 + succs.iter().map(|e| depth[e.to.index()]).max().unwrap_or(0);
+                color[v] = BLACK;
+                stack.pop();
+            }
+        }
+        let p = &mut profiles[labels[s]];
+        p.window = p.window.map(|w| w.max(depth[s]));
+    }
+    for (id, e) in a.iter() {
+        if color[id.index()] != WHITE && e.report.is_some() {
+            profiles[labels[id.index()]].reporting = true;
+        }
+    }
+    ComponentProfiles { labels, profiles }
 }
 
 /// Ids of states reachable from any start state (forward closure over
@@ -191,49 +236,13 @@ pub fn reachable_from_starts(a: &Automaton) -> Vec<bool> {
 /// overlap window when splitting an input across chunk workers.
 ///
 /// Both activation and reset edges are followed; states unreachable from
-/// any start state are ignored (they can never become active).
+/// any start state are ignored (they can never become active). The fold
+/// of [`ComponentProfile::window`] over every component.
 pub fn longest_path_from_starts(a: &Automaton) -> Option<usize> {
-    const WHITE: u8 = 0; // unvisited
-    const GRAY: u8 = 1; // on the DFS stack
-    const BLACK: u8 = 2; // finished, `depth` valid
-    let mut color = vec![WHITE; a.state_count()];
-    // Longest path (in states) starting at each finished node.
-    let mut depth = vec![0usize; a.state_count()];
-    let mut best = 0usize;
-    let mut stack: Vec<(usize, usize)> = Vec::new();
-    for start in a.start_states() {
-        let s = start.index();
-        if color[s] == BLACK {
-            best = best.max(depth[s]);
-            continue;
-        }
-        color[s] = GRAY;
-        stack.push((s, 0));
-        while let Some(frame) = stack.last_mut() {
-            let (v, ei) = *frame;
-            let succs = a.successors(StateId::new(v));
-            if ei < succs.len() {
-                frame.1 += 1;
-                let t = succs[ei].to.index();
-                match color[t] {
-                    WHITE => {
-                        color[t] = GRAY;
-                        stack.push((t, 0));
-                    }
-                    GRAY => return None, // back edge: reachable cycle
-                    _ => {}
-                }
-            } else {
-                // All successors finished (a gray successor would have
-                // returned above), so their depths are final.
-                depth[v] = 1 + succs.iter().map(|e| depth[e.to.index()]).max().unwrap_or(0);
-                color[v] = BLACK;
-                stack.pop();
-            }
-        }
-        best = best.max(depth[s]);
-    }
-    Some(best)
+    component_profiles(a)
+        .profiles
+        .iter()
+        .try_fold(0, |best, p| Some(best.max(p.window?)))
 }
 
 /// Shortest required literal worth prefiltering on. One-byte literals hit
@@ -312,18 +321,8 @@ impl RequiredLiteral {
 /// Per-component result of [`prefilter_analysis`].
 #[derive(Debug, Clone)]
 pub struct ComponentPrefilter {
-    /// Dense component label, as assigned by [`component_labels`].
-    pub component: usize,
-    /// Smallest state id in the component (diagnostic anchor).
-    pub first_state: StateId,
-    /// States in the component.
-    pub states: usize,
-    /// Longest start-rooted path in states — the match-span bound — when
-    /// the component is acyclic from its starts.
-    pub window: Option<usize>,
-    /// Whether any reachable element reports. A component that never
-    /// reports needs no scanning at all.
-    pub reporting: bool,
+    /// The component's structural record, from [`component_profiles`].
+    pub profile: ComponentProfile,
     /// One required factor per reachable report state (deduplicated by
     /// bytes, geometry merged conservatively); `None` when the component
     /// is not prefilterable. Empty for non-reporting components (nothing
@@ -363,80 +362,52 @@ impl ComponentPrefilter {
 /// yield a factor of at least [`MIN_PREFILTER_LITERAL`] bytes
 /// (truncated to the last [`MAX_PREFILTER_LITERAL`]); otherwise some
 /// matches would escape the filter and it falls back to full simulation.
-pub fn prefilter_analysis(a: &Automaton) -> Vec<ComponentPrefilter> {
-    let labels = component_labels(a);
-    let ncomp = labels.iter().copied().max().map_or(0, |m| m + 1);
+/// `comps` is `a`'s [`component_profiles`] record.
+pub fn prefilter_analysis(a: &Automaton, comps: &ComponentProfiles) -> Vec<ComponentPrefilter> {
     let reachable = reachable_from_starts(a);
-    let windows = component_windows(a, &labels, ncomp);
     let preds = a.predecessors();
 
-    let mut first_state = vec![usize::MAX; ncomp];
-    let mut states = vec![0usize; ncomp];
-    let mut has_counter = vec![false; ncomp];
-    let mut has_sod = vec![false; ncomp];
-    let mut reporting = vec![false; ncomp];
-    for (id, e) in a.iter() {
-        let c = labels[id.index()];
-        first_state[c] = first_state[c].min(id.index());
-        states[c] += 1;
-        if e.is_counter() {
-            has_counter[c] = true;
-        }
-        if e.start_kind() == crate::element::StartKind::StartOfData {
-            has_sod[c] = true;
-        }
-        if e.report.is_some() && reachable[id.index()] {
-            reporting[c] = true;
-        }
-    }
-
-    let mut out = Vec::with_capacity(ncomp);
-    for c in 0..ncomp {
-        let block = if !reporting[c] {
-            // Nothing observable can ever happen: prefilterable with an
-            // empty literal set (the component is simply dropped).
-            None
-        } else if has_counter[c] {
-            Some(PrefilterBlock::Counter)
-        } else if has_sod[c] {
-            Some(PrefilterBlock::StartOfData)
-        } else if windows[c].is_none() {
-            Some(PrefilterBlock::Cycle)
-        } else {
-            None
-        };
-        out.push(ComponentPrefilter {
-            component: c,
-            first_state: StateId::new(first_state[c]),
-            states: states[c],
-            window: windows[c],
-            reporting: reporting[c],
-            literals: if block.is_none() {
-                Some(Vec::new())
+    let mut out: Vec<ComponentPrefilter> = comps
+        .profiles
+        .iter()
+        .map(|&profile| {
+            let block = if !profile.reporting {
+                // Nothing observable can ever happen: prefilterable with
+                // an empty literal set (the component is simply dropped).
+                None
+            } else if profile.has_counter {
+                Some(PrefilterBlock::Counter)
+            } else if profile.has_start_of_data {
+                Some(PrefilterBlock::StartOfData)
+            } else if profile.window.is_none() {
+                Some(PrefilterBlock::Cycle)
             } else {
                 None
-            },
-            block,
-            weak: None,
-        });
-    }
+            };
+            ComponentPrefilter {
+                profile,
+                literals: block.is_none().then(Vec::new),
+                block,
+                weak: None,
+            }
+        })
+        .collect();
 
     // Literal extraction for the surviving reporting components.
     let co = coreachable_to_report(a);
-    let mut comp_states: Vec<Vec<StateId>> = vec![Vec::new(); ncomp];
+    let mut comp_states: Vec<Vec<StateId>> = vec![Vec::new(); out.len()];
     for (id, _) in a.iter() {
-        let c = labels[id.index()];
-        if reachable[id.index()] && reporting[c] && out[c].literals.is_some() {
-            comp_states[c].push(id);
+        let cp = &out[comps.labels[id.index()]];
+        if reachable[id.index()] && cp.profile.reporting && cp.literals.is_some() {
+            comp_states[comps.labels[id.index()]].push(id);
         }
     }
     let mut topo_pos = vec![u32::MAX; a.state_count()];
-    for cp in &mut out {
-        let members = &comp_states[cp.component];
+    for (cp, members) in out.iter_mut().zip(&comp_states) {
         if members.is_empty() {
             continue;
         }
-        let window = cp.window.unwrap_or(0);
+        let window = cp.profile.window.unwrap_or(0);
         match component_literals(a, &preds, &reachable, &co, members, window, &mut topo_pos) {
             Ok(lits) => {
                 cp.literals = Some(lits);
@@ -759,55 +730,6 @@ fn required_suffix_literal(
     lit
 }
 
-/// Per-component variant of [`longest_path_from_starts`]: a cycle in one
-/// component yields `None` for that component only.
-fn component_windows(a: &Automaton, labels: &[usize], ncomp: usize) -> Vec<Option<usize>> {
-    const WHITE: u8 = 0;
-    const GRAY: u8 = 1;
-    const BLACK: u8 = 2;
-    let n = a.state_count();
-    let mut color = vec![WHITE; n];
-    let mut depth = vec![0usize; n];
-    let mut cyclic = vec![false; ncomp];
-    let mut best = vec![0usize; ncomp];
-    let mut stack: Vec<(usize, usize)> = Vec::new();
-    for start in a.start_states() {
-        let s = start.index();
-        if color[s] == BLACK {
-            best[labels[s]] = best[labels[s]].max(depth[s]);
-            continue;
-        }
-        color[s] = GRAY;
-        stack.push((s, 0));
-        while let Some(frame) = stack.last_mut() {
-            let (v, ei) = *frame;
-            let succs = a.successors(StateId::new(v));
-            if ei < succs.len() {
-                frame.1 += 1;
-                let t = succs[ei].to.index();
-                match color[t] {
-                    WHITE => {
-                        color[t] = GRAY;
-                        stack.push((t, 0));
-                    }
-                    // Back edge: mark the component cyclic and keep
-                    // going — other components still need their bound.
-                    GRAY => cyclic[labels[t]] = true,
-                    _ => {}
-                }
-            } else {
-                depth[v] = 1 + succs.iter().map(|e| depth[e.to.index()]).max().unwrap_or(0);
-                color[v] = BLACK;
-                stack.pop();
-            }
-        }
-        best[labels[s]] = best[labels[s]].max(depth[s]);
-    }
-    (0..ncomp)
-        .map(|c| if cyclic[c] { None } else { Some(best[c]) })
-        .collect()
-}
-
 struct UnionFind {
     parent: Vec<u32>,
 }
@@ -890,8 +812,7 @@ mod tests {
     fn component_labels_are_dense() {
         let mut a = chain(2);
         a.append(&chain(3));
-        let labels = component_labels(&a);
-        assert_eq!(labels, vec![0, 0, 1, 1, 1]);
+        assert_eq!(component_profiles(&a).labels, vec![0, 0, 1, 1, 1]);
     }
 
     #[test]
@@ -955,14 +876,18 @@ mod tests {
         a.set_report(last, code);
     }
 
+    fn analysis(a: &Automaton) -> Vec<ComponentPrefilter> {
+        prefilter_analysis(a, &component_profiles(a))
+    }
+
     #[test]
     fn literal_chain_is_fully_extracted() {
         let mut a = Automaton::new();
         word(&mut a, b"admin", 0);
-        let pf = prefilter_analysis(&a);
+        let pf = analysis(&a);
         assert_eq!(pf.len(), 1);
         assert!(pf[0].is_prefilterable());
-        assert_eq!(pf[0].window, Some(5));
+        assert_eq!(pf[0].profile.window, Some(5));
         assert_eq!(
             pf[0].literals,
             Some(vec![RequiredLiteral::suffix(b"admin".to_vec(), 0)])
@@ -973,12 +898,12 @@ mod tests {
     fn long_literals_keep_their_suffix() {
         let mut a = Automaton::new();
         word(&mut a, b"0123456789abcdef", 0);
-        let pf = prefilter_analysis(&a);
+        let pf = analysis(&a);
         assert_eq!(
             pf[0].literals,
             Some(vec![RequiredLiteral::suffix(b"89abcdef".to_vec(), 8)])
         );
-        assert_eq!(pf[0].window, Some(16));
+        assert_eq!(pf[0].profile.window, Some(16));
     }
 
     #[test]
@@ -994,7 +919,7 @@ mod tests {
         a.add_edge(p2, x);
         a.add_edge(x, y);
         a.set_report(y, 0);
-        let pf = prefilter_analysis(&a);
+        let pf = analysis(&a);
         assert_eq!(
             pf[0].literals,
             Some(vec![RequiredLiteral::suffix(b"xy".to_vec(), 1)])
@@ -1008,7 +933,7 @@ mod tests {
         let t = a.add_ste(SymbolClass::from_range(b'0', b'9'), StartKind::None);
         a.add_edge(s, t);
         a.set_report(t, 0);
-        let pf = prefilter_analysis(&a);
+        let pf = analysis(&a);
         assert!(!pf[0].is_prefilterable());
         assert_eq!(pf[0].block, Some(PrefilterBlock::WeakLiteral));
     }
@@ -1027,7 +952,7 @@ mod tests {
         a.add_edge(b, w1);
         a.add_edge(w1, w2);
         a.set_report(w2, 0);
-        let pf = prefilter_analysis(&a);
+        let pf = analysis(&a);
         assert!(pf[0].is_prefilterable());
         assert_eq!(
             pf[0].literals,
@@ -1059,7 +984,7 @@ mod tests {
         a.add_edge(b, c);
         a.add_edge(c, w);
         a.set_report(w, 0);
-        let pf = prefilter_analysis(&a);
+        let pf = analysis(&a);
         assert!(pf[0].is_prefilterable());
         assert_eq!(
             pf[0].literals,
@@ -1086,7 +1011,7 @@ mod tests {
         a.add_edge(w, u);
         a.add_edge(u, v);
         a.set_report(v, 0);
-        let pf = prefilter_analysis(&a);
+        let pf = analysis(&a);
         assert_eq!(
             pf[0].literals,
             Some(vec![RequiredLiteral {
@@ -1125,14 +1050,14 @@ mod tests {
         a.append(&d);
         // Component 3: still fine.
         word(&mut a, b"ok_literal", 3);
-        let pf = prefilter_analysis(&a);
+        let pf = analysis(&a);
         assert_eq!(pf.len(), 4);
         assert_eq!(pf[0].block, Some(PrefilterBlock::Counter));
         assert_eq!(pf[1].block, Some(PrefilterBlock::StartOfData));
         assert_eq!(pf[2].block, Some(PrefilterBlock::Cycle));
-        assert_eq!(pf[2].window, None);
+        assert_eq!(pf[2].profile.window, None);
         assert!(pf[3].is_prefilterable());
-        assert_eq!(pf[3].window, Some(10));
+        assert_eq!(pf[3].profile.window, Some(10));
     }
 
     #[test]
@@ -1142,16 +1067,16 @@ mod tests {
         let mut b = Automaton::new();
         word(&mut b, b"hello", 9);
         a.append(&b);
-        let pf = prefilter_analysis(&a);
-        assert_eq!(pf[0].window, None);
-        assert_eq!(pf[1].window, Some(5));
+        let pf = analysis(&a);
+        assert_eq!(pf[0].profile.window, None);
+        assert_eq!(pf[1].profile.window, Some(5));
     }
 
     #[test]
     fn reportless_components_are_droppable() {
         let a = chain(4); // no report state at all
-        let pf = prefilter_analysis(&a);
-        assert!(!pf[0].reporting);
+        let pf = analysis(&a);
+        assert!(!pf[0].profile.reporting);
         assert!(pf[0].is_prefilterable());
         assert_eq!(pf[0].literals, Some(vec![]));
     }
@@ -1167,7 +1092,7 @@ mod tests {
         let bridge = a.add_ste(SymbolClass::from_byte(b'!'), StartKind::None);
         a.add_edge(StateId::new(3), bridge);
         a.add_edge(StateId::new(7), bridge);
-        let pf = prefilter_analysis(&a);
+        let pf = analysis(&a);
         assert_eq!(pf.len(), 1);
         assert_eq!(
             pf[0].literals,
@@ -1180,7 +1105,7 @@ mod tests {
         let mut a = Automaton::new();
         let s = a.add_ste(SymbolClass::from_byte(b'z'), StartKind::AllInput);
         a.set_report(s, 0);
-        let pf = prefilter_analysis(&a);
+        let pf = analysis(&a);
         assert_eq!(pf[0].block, Some(PrefilterBlock::WeakLiteral));
     }
 
@@ -1193,12 +1118,44 @@ mod tests {
         let c = b.add_counter(3, CounterMode::Latch);
         b.add_edge(s, c);
         a.append(&b);
-        let profiles = component_profiles(&a);
+        let profiles = component_profiles(&a).profiles;
         assert_eq!(profiles.len(), 2);
         assert_eq!(profiles[0].states, 2);
         assert!(!profiles[0].has_counter && !profiles[0].has_start_of_data);
         assert_eq!(profiles[1].first_state, StateId::new(2));
         assert!(profiles[1].has_counter && profiles[1].has_start_of_data);
+        // Neither component reports; the counter sits one state past
+        // the anchored start.
+        assert!(!profiles[0].reporting && !profiles[1].reporting);
+        assert_eq!(profiles[0].window, Some(2));
+        assert_eq!(profiles[1].window, Some(2));
+    }
+
+    #[test]
+    fn component_profiles_see_only_start_reachable_cycles() {
+        // Component 0: a reachable self-loop. Component 1: a startless
+        // reporting two-cycle. Component 2: a chain joined to an orphan
+        // two-cycle that no start reaches.
+        let mut a = chain(1);
+        a.add_edge(StateId::new(0), StateId::new(0));
+        let x = a.add_ste(SymbolClass::FULL, StartKind::None);
+        let y = a.add_ste(SymbolClass::FULL, StartKind::None);
+        a.add_edge(x, y);
+        a.add_edge(y, x);
+        a.set_report(y, 1);
+        let (_, last) = a.add_chain(&[SymbolClass::FULL; 3], StartKind::AllInput);
+        a.set_report(last, 2);
+        let p = a.add_ste(SymbolClass::FULL, StartKind::None);
+        let q = a.add_ste(SymbolClass::FULL, StartKind::None);
+        a.add_edge(p, q);
+        a.add_edge(q, p);
+        a.add_edge(p, last);
+        let comps = component_profiles(&a);
+        let windows: Vec<_> = comps.profiles.iter().map(|p| p.window).collect();
+        assert_eq!(windows, vec![None, Some(0), Some(3)]);
+        let reporting: Vec<_> = comps.profiles.iter().map(|p| p.reporting).collect();
+        assert_eq!(reporting, vec![false, false, true]);
+        assert_eq!(comps.labels, vec![0, 1, 1, 2, 2, 2, 2, 2]);
     }
 
     #[test]

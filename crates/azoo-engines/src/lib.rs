@@ -59,7 +59,6 @@ mod nfa;
 mod parallel;
 mod prefilter;
 mod profile;
-mod report_stats;
 mod select;
 mod sheng;
 mod sink;
@@ -72,7 +71,6 @@ pub use nfa::NfaEngine;
 pub use parallel::ParallelScanner;
 pub use prefilter::{PrefilterEngine, PREFILTER_COVERAGE_GATE};
 pub use profile::Profile;
-pub use report_stats::ReportStats;
 pub use select::{
     prefilter_gate, select_engine, select_session_engine, select_session_engine_explained,
     select_session_engine_threaded, EngineChoice,

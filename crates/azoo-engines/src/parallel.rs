@@ -7,10 +7,12 @@
 //!    so the automaton is split into shards (via the same
 //!    first-fit-decreasing packing as [`azoo_passes::partition`]) and each
 //!    shard scans the input independently.
-//! 2. **Input chunking.** A shard that is counter-free, acyclic, and
-//!    all-input-start (no `StartOfData` elements) matches at most
-//!    `longest_path_from_starts` symbols per report, so the input can be
-//!    cut into chunks that different workers scan concurrently. Each
+//! 2. **Input chunking.** A component that is counter-free, unanchored
+//!    (no `StartOfData` elements) and acyclic from its starts matches at
+//!    most its `window` symbols per report (the per-component record of
+//!    `azoo_core::stats::component_profiles`), so a shard of such
+//!    components can be cut into chunks that different workers scan
+//!    concurrently with the largest of their windows. Each
 //!    worker re-scans a bounded *overlap window* before its chunk to
 //!    catch matches that span the boundary, and discards reports it does
 //!    not own. Components with counters, reachable cycles, or
@@ -28,8 +30,8 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use azoo_core::stats::{component_labels, component_sizes, longest_path_from_starts};
-use azoo_core::{Automaton, ElementKind, StartKind};
+use azoo_core::stats::component_profiles;
+use azoo_core::Automaton;
 use azoo_passes::partition;
 use azoo_sync::{ranks, OrderedMutex};
 
@@ -180,7 +182,12 @@ impl ParallelScanner {
         a.validate()?;
         // Pack components into about `threads` shards; a component can
         // never be split, so the capacity is at least the largest one.
-        let max_component = component_sizes(a).last().copied().unwrap_or(0);
+        let max_component = component_profiles(a)
+            .profiles
+            .iter()
+            .map(|c| c.states)
+            .max()
+            .unwrap_or(0);
         let capacity = a.state_count().div_ceil(threads).max(max_component).max(1);
         let parts = partition(a, capacity).expect("capacity covers the largest component");
         let mut shards = Vec::new();
@@ -189,39 +196,42 @@ impl ParallelScanner {
         // validation. The whole automaton validated above, so at least
         // one shard survives.
         for p in parts.iter().filter(|p| !p.start_states().is_empty()) {
-            if let Some(w) = chunk_window(p) {
+            // A component is hard — no finite overlap window — when it
+            // holds a counter (its state depends on the whole prefix), a
+            // start-of-data anchor (chunk workers start mid-stream) or a
+            // reachable cycle (unbounded match span).
+            let comps = component_profiles(p);
+            let hard: Vec<bool> = comps
+                .profiles
+                .iter()
+                .map(|c| c.has_counter || c.has_start_of_data || c.window.is_none())
+                .collect();
+            // The easy components' longest match span; every shard here
+            // has a start, so an all-easy shard's window is at least 1.
+            let window = comps
+                .profiles
+                .iter()
+                .zip(&hard)
+                .filter_map(|(c, &h)| if h { None } else { c.window })
+                .max();
+            if !hard.contains(&true) {
                 shards.push(Shard {
                     engine: build_shard_engine(p, prefilter)?,
-                    window: Some(w),
+                    window,
                 });
                 continue;
             }
-            // Hard shard: split its *easy* components (counter-free,
-            // unanchored, acyclic), which keep the bounded-overlap path,
-            // from the rest, which scan the whole input sequentially.
-            let labels = component_labels(p);
-            let mut hard = vec![false; p.state_count()];
-            for (id, e) in p.iter() {
-                if matches!(
-                    e.kind,
-                    ElementKind::Counter { .. }
-                        | ElementKind::Ste {
-                            start: StartKind::StartOfData,
-                            ..
-                        }
-                ) {
-                    hard[labels[id.index()]] = true;
-                }
-            }
-            mark_reachable_cycles(p, &labels, &mut hard);
+            // Hard shard: split its easy components, which keep the
+            // bounded-overlap path, from the rest, which scan the whole
+            // input sequentially.
             for is_hard in [false, true] {
-                let sub = p.retain_states(|id| hard[labels[id.index()]] == is_hard);
+                let sub = p.retain_states(|id| hard[comps.labels[id.index()]] == is_hard);
                 if sub.start_states().is_empty() {
                     continue;
                 }
                 shards.push(Shard {
                     engine: build_shard_engine(&sub, prefilter)?,
-                    window: if is_hard { None } else { chunk_window(&sub) },
+                    window: if is_hard { None } else { window },
                 });
             }
         }
@@ -384,66 +394,6 @@ impl ParallelScanner {
     }
 }
 
-/// Marks (by component label) every component containing a cycle
-/// reachable from a start state — the components with no finite overlap
-/// window.
-fn mark_reachable_cycles(p: &Automaton, labels: &[usize], cyclic: &mut [bool]) {
-    const WHITE: u8 = 0;
-    const GRAY: u8 = 1;
-    const BLACK: u8 = 2;
-    let mut color = vec![WHITE; p.state_count()];
-    for start in p.start_states() {
-        if color[start.index()] != WHITE {
-            continue;
-        }
-        let mut stack = vec![(start, 0usize)];
-        color[start.index()] = GRAY;
-        while let Some(top) = stack.last_mut() {
-            let (v, ei) = *top;
-            let succs = p.successors(v);
-            if ei < succs.len() {
-                top.1 += 1;
-                let t = succs[ei].to;
-                match color[t.index()] {
-                    WHITE => {
-                        color[t.index()] = GRAY;
-                        stack.push((t, 0));
-                    }
-                    GRAY => cyclic[labels[v.index()]] = true,
-                    _ => {}
-                }
-            } else {
-                color[v.index()] = BLACK;
-                stack.pop();
-            }
-        }
-    }
-}
-
-/// `Some(longest match span)` if `p` supports bounded-overlap input
-/// chunking: no counters (their state depends on the whole prefix), no
-/// start-of-data anchors (chunk workers start mid-stream), and no
-/// reachable cycles (unbounded match length means no finite overlap
-/// window). Shards failing this scan the whole input on one worker.
-fn chunk_window(p: &Automaton) -> Option<usize> {
-    if p.counter_count() > 0 {
-        return None;
-    }
-    let anchored = p.iter().any(|(_, e)| {
-        matches!(
-            e.kind,
-            ElementKind::Ste {
-                start: StartKind::StartOfData,
-                ..
-            }
-        )
-    });
-    if anchored {
-        return None;
-    }
-    longest_path_from_starts(p).filter(|&w| w > 0)
-}
-
 /// Shuffle-DFA gating first: a shard that determinizes to <= 16 states
 /// steps in one pshufb, beating both the prefilter and plain simulation.
 fn build_shard_engine(p: &Automaton, prefilter: bool) -> Result<ShardEngine, EngineError> {
@@ -569,7 +519,7 @@ impl StreamingEngine for ParallelScanner {
 mod tests {
     use super::*;
     use crate::sink::CollectSink;
-    use azoo_core::{CounterMode, SymbolClass};
+    use azoo_core::{CounterMode, StartKind, SymbolClass};
 
     fn words(list: &[&[u8]]) -> Automaton {
         let mut a = Automaton::new();

@@ -187,8 +187,7 @@ pub fn select_session_engine(
 }
 
 /// [`select_session_engine`] plus a human-readable reason for the
-/// choice, suitable for bench-row and report annotations (see
-/// [`ReportStats::set_engine_tier`](crate::ReportStats::set_engine_tier)).
+/// choice, suitable for bench-row and report annotations.
 ///
 /// # Errors
 ///

@@ -8,7 +8,7 @@
 //! never be split across chips — they share routing) are bin-packed into
 //! partitions of at most `capacity` states, first-fit decreasing.
 
-use azoo_core::{stats::component_labels, Automaton, StateId};
+use azoo_core::{stats::component_profiles, Automaton};
 
 use crate::PassError;
 
@@ -44,31 +44,19 @@ use crate::PassError;
 /// ```
 pub fn partition(a: &Automaton, capacity: usize) -> Result<Vec<Automaton>, PassError> {
     assert!(capacity > 0, "capacity must be positive");
-    let labels = component_labels(a);
-    let n_components = labels.iter().copied().max().map_or(0, |m| m + 1);
-    if n_components == 0 {
-        return Ok(Vec::new());
-    }
-    let mut sizes = vec![0usize; n_components];
-    for &l in &labels {
-        sizes[l] += 1;
-    }
-    if let Some(too_big) = sizes.iter().position(|&s| s > capacity) {
-        // Report via the first state of the offending component.
-        let state = labels
-            .iter()
-            .position(|&l| l == too_big)
-            .expect("component has states");
+    let comps = component_profiles(a);
+    if let Some(too_big) = comps.profiles.iter().find(|p| p.states > capacity) {
         return Err(PassError::ComponentTooLarge {
-            state: StateId::new(state),
-            size: sizes[too_big],
+            state: too_big.first_state,
+            size: too_big.states,
             capacity,
         });
     }
+    let sizes: Vec<usize> = comps.profiles.iter().map(|p| p.states).collect();
     // First-fit decreasing.
-    let mut order: Vec<usize> = (0..n_components).collect();
+    let mut order: Vec<usize> = (0..sizes.len()).collect();
     order.sort_by(|&x, &y| sizes[y].cmp(&sizes[x]).then(x.cmp(&y)));
-    let mut bin_of = vec![usize::MAX; n_components];
+    let mut bin_of = vec![usize::MAX; sizes.len()];
     let mut bin_load: Vec<usize> = Vec::new();
     for &comp in &order {
         match bin_load
@@ -86,7 +74,7 @@ pub fn partition(a: &Automaton, capacity: usize) -> Result<Vec<Automaton>, PassE
         }
     }
     let partitions = (0..bin_load.len())
-        .map(|b| a.retain_states(|id| bin_of[labels[id.index()]] == b))
+        .map(|b| a.retain_states(|id| bin_of[comps.labels[id.index()]] == b))
         .collect();
     Ok(partitions)
 }

@@ -17,8 +17,10 @@
 //! [`Automaton::retain_states`] per component, which would be
 //! quadratic in the suite size).
 
-use azoo_core::stats::{prefilter_analysis, ComponentPrefilter, RequiredLiteral};
-use azoo_core::{stats::component_labels, Automaton, Port};
+use azoo_core::stats::{
+    component_profiles, prefilter_analysis, ComponentPrefilter, RequiredLiteral,
+};
+use azoo_core::{Automaton, Port};
 
 /// Shortest required factor worth triggering on. Shorter factors hit so
 /// often that windowed simulation costs more than fully simulating the
@@ -90,8 +92,9 @@ enum Bucket {
 
 /// Computes the prefilter plan for `a`.
 pub fn prefilter_plan(a: &Automaton) -> PrefilterPlan {
-    let analysis = prefilter_analysis(a);
-    let labels = component_labels(a);
+    let comps = component_profiles(a);
+    let analysis = prefilter_analysis(a, &comps);
+    let labels = &comps.labels;
 
     // Per-component report shape, for the exact-match carve-out of the
     // short-factor demotion rule (component index == label).
@@ -112,14 +115,15 @@ pub fn prefilter_plan(a: &Automaton) -> PrefilterPlan {
     let mut demoted_components = 0usize;
     let mut demoted_states = 0usize;
     for (ci, cp) in analysis.iter().enumerate() {
+        let states = cp.profile.states;
         match &cp.literals {
-            Some(lits) if !cp.reporting => {
+            Some(lits) if !cp.profile.reporting => {
                 debug_assert!(lits.is_empty());
                 bucket_of.push(Bucket::Dropped);
-                dropped_states += cp.states;
+                dropped_states += states;
             }
             Some(lits) => {
-                let window = cp.window.unwrap_or(0);
+                let window = cp.profile.window.unwrap_or(0);
                 let exact = matches!(
                     lits.as_slice(),
                     [l] if l.before == 0 && l.after == 0 && l.bytes.len() == window
@@ -128,12 +132,12 @@ pub fn prefilter_plan(a: &Automaton) -> PrefilterPlan {
                 let min_len = lits.iter().map(|l| l.bytes.len()).min().unwrap_or(0);
                 if !exact && min_len < MIN_STRONG_LITERAL {
                     bucket_of.push(Bucket::Fallback);
-                    fallback_states += cp.states;
+                    fallback_states += states;
                     demoted_components += 1;
-                    demoted_states += cp.states;
+                    demoted_states += states;
                 } else {
                     bucket_of.push(Bucket::Component(components.len()));
-                    prefiltered_states += cp.states;
+                    prefiltered_states += states;
                     components.push(PrefilterComponent {
                         automaton: Automaton::new(),
                         window,
@@ -143,7 +147,7 @@ pub fn prefilter_plan(a: &Automaton) -> PrefilterPlan {
             }
             None => {
                 bucket_of.push(Bucket::Fallback);
-                fallback_states += cp.states;
+                fallback_states += states;
             }
         }
     }

@@ -55,7 +55,7 @@
 
 use std::collections::HashMap;
 
-use azoo_core::stats::{component_labels, component_profiles};
+use azoo_core::stats::{component_profiles, ComponentProfile};
 use azoo_core::{
     Automaton, Element, ElementKind, Port, ReportCode, StartKind, StateId, SymbolClass,
 };
@@ -247,6 +247,12 @@ pub fn quotient_simulation(a: &Automaton) -> (Automaton, MergeStats) {
     (out, stats)
 }
 
+/// The residual rows of the refusal matrix: counters, `StartOfData`
+/// anchors and components over [`RESIDUAL_COMPONENT_CAP`].
+fn residual_refuses(p: &ComponentProfile) -> bool {
+    p.has_counter || p.has_start_of_data || p.states > RESIDUAL_COMPONENT_CAP
+}
+
 /// Right-simulation local compatibility: can `q` possibly cover `p`'s
 /// immediate observables?
 fn covers_locally(p: &Element, q: &Element) -> bool {
@@ -328,24 +334,18 @@ fn component_preorder(a: &Automaton, states: &[StateId]) -> Vec<Vec<bool>> {
 /// perturbs pulse timing and position anchoring; see the module doc).
 pub fn residual_merge(a: &Automaton) -> (Automaton, MergeStats) {
     let n = a.state_count();
-    let labels = component_labels(a);
-    let profiles = component_profiles(a);
-    let mut members: Vec<Vec<StateId>> = vec![Vec::new(); profiles.len()];
+    let comps = component_profiles(a);
+    let mut members: Vec<Vec<StateId>> = vec![Vec::new(); comps.profiles.len()];
     for (id, _) in a.iter() {
-        members[labels[id.index()]].push(id);
+        members[comps.labels[id.index()]].push(id);
     }
     let preds = a.predecessors();
     let mut folded = vec![false; n];
     let mut rounds = 0;
-    for profile in &profiles {
-        if profile.has_counter
-            || profile.has_start_of_data
-            || profile.states < 2
-            || profile.states > RESIDUAL_COMPONENT_CAP
-        {
+    for (profile, states) in comps.profiles.iter().zip(&members) {
+        if residual_refuses(profile) || profile.states < 2 {
             continue;
         }
-        let states = &members[profile.component];
         let rel = component_preorder(a, states);
         let mut comp_folded = false;
         for (p, &ps) in states.iter().enumerate() {
@@ -412,8 +412,9 @@ pub fn reduce(a: &Automaton) -> (Automaton, ReduceStats) {
         }
     }
     stats.refused_components = component_profiles(&cur)
+        .profiles
         .iter()
-        .filter(|p| p.has_counter || p.has_start_of_data || p.states > RESIDUAL_COMPONENT_CAP)
+        .filter(|p| residual_refuses(p))
         .count();
     stats.states_after = cur.state_count();
     stats.edges_after = cur.edge_count();

@@ -8,8 +8,10 @@
 //! structural statistics are generated — see DESIGN.md §3 for the
 //! substitution table.
 //!
-//! The [`BenchmarkId`] registry enumerates all 24 benchmarks and builds
-//! any of them at three scales:
+//! The [`BenchmarkId`] registry enumerates all 27 benchmarks (the paper's
+//! 24 Table I rows, the AP PRNG variant split, and the two fuzzy
+//! extensions; [`BenchmarkId::ALL`]) and builds any of them at three
+//! scales:
 //!
 //! ```
 //! use azoo_zoo::{BenchmarkId, Scale};

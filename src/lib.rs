@@ -6,7 +6,7 @@
 //! a VASim-equivalent simulation/optimization environment, a
 //! Hyperscan-style regex front end and CPU engine portfolio, automata
 //! transformations (prefix merging, 8-striding, widening), the Random
-//! Forest ML substrate, synthetic workload generators, and all 24
+//! Forest ML substrate, synthetic workload generators, and all 27
 //! benchmark generators.
 //!
 //! This crate is a facade that re-exports the workspace:
@@ -22,7 +22,8 @@
 //! * [`simd`] — vectorized scanning kernels with runtime CPU dispatch ([`azoo_simd`])
 //! * [`workloads`] — seeded input generators ([`azoo_workloads`])
 //! * [`ml`] — decision trees & random forests ([`azoo_ml`])
-//! * [`zoo`] — the 24 benchmarks ([`azoo_zoo`])
+//! * [`zoo`] — the 27 benchmarks: the paper's 24 plus the AP PRNG split
+//!   and two fuzzy extensions ([`azoo_zoo`])
 //!
 //! # Quickstart
 //!

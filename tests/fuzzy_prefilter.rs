@@ -12,7 +12,7 @@
 //! occurrences are mutated (the exact literal never appears), where a
 //! literal-gated fuzzy component would go blind.
 
-use automatazoo::core::stats::{prefilter_analysis, PrefilterBlock};
+use automatazoo::core::stats::{component_profiles, prefilter_analysis, PrefilterBlock};
 use automatazoo::core::Automaton;
 use automatazoo::engines::{
     CollectSink, Engine, NfaEngine, PrefilterEngine, Report, StreamingEngine,
@@ -38,22 +38,23 @@ fn prefilter_reports(a: &Automaton, input: &[u8]) -> Vec<Report> {
 /// Every reporting component of `a` must be refused by the analysis
 /// with `WeakLiteral` — no exact factor gates an error layer.
 fn assert_unprefilterable(a: &Automaton, what: &str) {
-    for cp in prefilter_analysis(a) {
-        if !cp.reporting {
+    for (c, cp) in prefilter_analysis(a, &component_profiles(a))
+        .iter()
+        .enumerate()
+    {
+        if !cp.profile.reporting {
             continue;
         }
         assert!(
             !cp.is_prefilterable(),
-            "{what}: component {} was admitted to the literal gate, \
-             which is unsound at edit distance >= 1",
-            cp.component
+            "{what}: component {c} was admitted to the literal gate, \
+             which is unsound at edit distance >= 1"
         );
         assert_eq!(
             cp.block,
             Some(PrefilterBlock::WeakLiteral),
-            "{what}: component {} should be refused for lack of a \
-             required factor, not for shape",
-            cp.component
+            "{what}: component {c} should be refused for lack of a \
+             required factor, not for shape"
         );
     }
 }

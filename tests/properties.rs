@@ -3,8 +3,10 @@
 //! and striding is exact — all over *randomly generated* automata and
 //! inputs, not hand-picked cases.
 
-use automatazoo::core::{mnrl, Automaton, StartKind, StateId, SymbolClass};
+use automatazoo::core::stats::{component_profiles, longest_path_from_starts, ComponentProfile};
+use automatazoo::core::{mnrl, Automaton, ElementKind, StartKind, StateId, SymbolClass};
 use automatazoo::engines::{CollectSink, Engine, LazyDfaEngine, NfaEngine, Report};
+use automatazoo::oracle::{gen_automaton, GenConfig, OracleRng};
 use automatazoo::passes::{
     bit_pattern_chain, bits_of_bytes, merge_prefixes, merge_suffixes, remove_dead, stride8, widen,
 };
@@ -63,6 +65,123 @@ fn arb_input() -> impl Strategy<Value = Vec<u8>> {
         proptest::sample::select(vec![b'a', b'b', b'c', b'd', b'e']),
         0..150,
     )
+}
+
+/// One to four oracle-generated machines side by side (counters,
+/// `StartOfData` anchors and cycles included), some with every start
+/// stripped so startless components and unreachable cycles appear.
+fn oracle_components(seed: u64) -> Automaton {
+    let mut rng = OracleRng::new(seed);
+    let mut a = Automaton::new();
+    for _ in 0..1 + rng.below(4) {
+        let mut part = gen_automaton(&mut rng, &GenConfig::default());
+        if rng.chance(1, 3) {
+            let ids: Vec<StateId> = part.iter().map(|(id, _)| id).collect();
+            for id in ids {
+                if let ElementKind::Ste { start, .. } = &mut part.element_mut(id).kind {
+                    *start = StartKind::None;
+                }
+            }
+        }
+        a.append(&part);
+    }
+    a
+}
+
+/// States reachable from `from` (inclusive) in `a`.
+fn reaches(a: &Automaton, from: &[StateId]) -> Vec<bool> {
+    let mut seen = vec![false; a.state_count()];
+    let mut stack = from.to_vec();
+    while let Some(v) = stack.pop() {
+        if !std::mem::replace(&mut seen[v.index()], true) {
+            stack.extend(a.successors(v).iter().map(|e| e.to));
+        }
+    }
+    seen
+}
+
+/// States of `a` that lie on a directed cycle (reach themselves again).
+fn on_cycle(a: &Automaton) -> Vec<bool> {
+    a.iter()
+        .map(|(v, _)| {
+            let next: Vec<StateId> = a.successors(v).iter().map(|e| e.to).collect();
+            reaches(a, &next)[v.index()]
+        })
+        .collect()
+}
+
+/// Brute-force reference for `component_profiles`: components by
+/// undirected flood fill, then per component one `retain_states` copy
+/// scanned element by element, reachability by flood fill from its
+/// starts, a reachable cycle as any reachable state that returns to
+/// itself, and the window as the longest simple path out of a start.
+fn naive_components(a: &Automaton) -> (Vec<usize>, Vec<ComponentProfile>) {
+    let n = a.state_count();
+    let mut adj = vec![Vec::new(); n];
+    for (id, _) in a.iter() {
+        for e in a.successors(id) {
+            adj[id.index()].push(e.to.index());
+            adj[e.to.index()].push(id.index());
+        }
+    }
+    let mut labels = vec![usize::MAX; n];
+    let mut count = 0;
+    for root in 0..n {
+        if labels[root] != usize::MAX {
+            continue;
+        }
+        let mut stack = vec![root];
+        labels[root] = count;
+        while let Some(v) = stack.pop() {
+            for &t in &adj[v] {
+                if labels[t] == usize::MAX {
+                    labels[t] = count;
+                    stack.push(t);
+                }
+            }
+        }
+        count += 1;
+    }
+
+    let profiles = (0..count)
+        .map(|c| {
+            let sub = a.retain_states(|id| labels[id.index()] == c);
+            let first = labels.iter().position(|&l| l == c).expect("non-empty");
+            let reachable = reaches(&sub, &sub.start_states());
+            let cyclic = on_cycle(&sub)
+                .iter()
+                .zip(&reachable)
+                .any(|(&on, &r)| on && r);
+            fn longest(sub: &Automaton, v: StateId) -> usize {
+                1 + sub
+                    .successors(v)
+                    .iter()
+                    .map(|e| longest(sub, e.to))
+                    .max()
+                    .unwrap_or(0)
+            }
+            let elements: Vec<_> = sub.iter().collect();
+            ComponentProfile {
+                first_state: StateId::new(first),
+                states: sub.state_count(),
+                has_counter: elements.iter().any(|(_, e)| e.is_counter()),
+                has_start_of_data: elements
+                    .iter()
+                    .any(|(_, e)| e.start_kind() == StartKind::StartOfData),
+                reporting: elements
+                    .iter()
+                    .any(|(v, e)| reachable[v.index()] && e.report.is_some()),
+                window: (!cyclic).then(|| {
+                    sub.start_states()
+                        .into_iter()
+                        .map(|s| longest(&sub, s))
+                        .max()
+                        .unwrap_or(0)
+                }),
+            }
+        })
+        .collect();
+    (labels, profiles)
 }
 
 fn run(a: &Automaton, input: &[u8]) -> Vec<Report> {
@@ -226,6 +345,38 @@ proptest! {
             prop_assert_eq!(a.contains(byte), bytes1.contains(&byte));
         }
     }
+}
+
+/// The shared component record against its brute-force reference over
+/// 500 oracle seeds, which must between them exercise every shape the
+/// record distinguishes.
+#[test]
+fn component_profiles_match_naive_reference() {
+    let mut seen = [false; 5]; // counter, anchor, reachable cycle, startless, unreachable cycle
+    for seed in 0..500 {
+        let a = oracle_components(seed);
+        let comps = component_profiles(&a);
+        let (labels, reference) = naive_components(&a);
+        assert_eq!(comps.labels, labels, "seed {seed}");
+        assert_eq!(comps.profiles, reference, "seed {seed}");
+        let folded = reference
+            .iter()
+            .try_fold(0, |best, p| p.window.map(|w| best.max(w)));
+        assert_eq!(longest_path_from_starts(&a), folded, "seed {seed}");
+        for (c, p) in reference.iter().enumerate() {
+            let starts = a
+                .iter()
+                .any(|(id, e)| labels[id.index()] == c && e.start_kind() != StartKind::None);
+            let any_cycle =
+                on_cycle(&a.retain_states(|id| labels[id.index()] == c)).contains(&true);
+            seen[0] |= p.has_counter;
+            seen[1] |= p.has_start_of_data;
+            seen[2] |= p.window.is_none();
+            seen[3] |= !starts;
+            seen[4] |= any_cycle && p.window.is_some();
+        }
+    }
+    assert_eq!(seen, [true; 5], "the seeds missed a component shape");
 }
 
 /// Concrete replay of the proptest-regressions case
