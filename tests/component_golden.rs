@@ -3,8 +3,8 @@
 //! For each of the 27 benchmarks at Tiny scale this records the facts
 //! that depend on the weakly-connected-component analysis: Table I's
 //! subgraph statistics, the prefilter analysis verdicts and plan
-//! coverage, `ParallelScanner`'s shard split, and the linter's per-rule
-//! finding counts. A refactor of that analysis must leave the file
+//! coverage, the tier the engine portfolio selects, `ParallelScanner`'s
+//! shard split, and the linter's per-rule finding counts. A refactor of that analysis must leave the file
 //! byte-identical.
 //!
 //! To regenerate after an intentional behaviour change:
@@ -16,7 +16,7 @@ use automatazoo::analyze::analyze;
 use automatazoo::core::json::Json;
 use automatazoo::core::stats::{longest_path_from_starts, PrefilterBlock};
 use automatazoo::core::AutomatonStats;
-use automatazoo::engines::ParallelScanner;
+use automatazoo::engines::{select_session_engine, ParallelScanner};
 use automatazoo::passes::prefilter_plan;
 use automatazoo::zoo::{BenchmarkId, Scale};
 
@@ -80,6 +80,8 @@ fn record(id: BenchmarkId) -> Json {
         ("demoted", int(plan.demoted_components)),
     ]);
 
+    let (choice, _) = select_session_engine(&a).expect("zoo automata are valid");
+
     let scanner = ParallelScanner::new(&a, 4).expect("zoo automata are valid");
     let parallel = obj(vec![
         ("shards", int(scanner.shard_count())),
@@ -106,6 +108,7 @@ fn record(id: BenchmarkId) -> Json {
             longest_path_from_starts(&a).map_or(Json::Null, int),
         ),
         ("prefilter", prefilter),
+        ("engine", Json::Str(format!("{choice:?}"))),
         ("parallel", parallel),
         ("lint", lint),
     ])
