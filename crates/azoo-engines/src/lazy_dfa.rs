@@ -9,6 +9,7 @@
 //! finite on automata that determinize badly.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use azoo_core::{Automaton, ElementKind, StartKind, SymbolClass};
 
@@ -34,17 +35,19 @@ pub struct LazyDfaEngine {
     succ_off: Vec<u32>,
     succ_tgt: Vec<u32>,
     always: Vec<u32>,
-    start_key: Box<[u32]>,
+    start_key: Arc<[u32]>,
 
     // Alphabet compression.
     byte_class: [u16; 256],
     class_rep: Vec<u8>,
     n_classes: usize,
 
-    // DFA cache.
+    // DFA cache. A state's NFA-state set is immutable once interned, so
+    // `states` and `intern` share one allocation per key, and
+    // `clone_session` copies pointers rather than the sets.
     max_states: usize,
-    states: Vec<Box<[u32]>>,
-    intern: HashMap<Box<[u32]>, u32>,
+    states: Vec<Arc<[u32]>>,
+    intern: HashMap<Arc<[u32]>, u32>,
     trans: Vec<u32>,
     trans_rep: Vec<u32>,
     rep_lists: Vec<Vec<(u32, bool)>>,
@@ -165,7 +168,7 @@ impl LazyDfaEngine {
             succ_off,
             succ_tgt,
             always,
-            start_key: sod.into_boxed_slice(),
+            start_key: sod.into(),
             byte_class,
             class_rep,
             n_classes,
@@ -182,8 +185,7 @@ impl LazyDfaEngine {
             pending_eod: Vec::new(),
         };
         engine.rep_intern.insert(Vec::new(), 0);
-        let start = engine.start_key.clone();
-        engine.intern_state(start);
+        engine.start_state();
         Ok(engine)
     }
 
@@ -208,13 +210,13 @@ impl LazyDfaEngine {
         self.intern.clear();
         self.trans.clear();
         self.trans_rep.clear();
-        let start = self.start_key.clone();
+        let start = Arc::clone(&self.start_key);
         self.push_state(start);
     }
 
-    fn push_state(&mut self, key: Box<[u32]>) -> u32 {
+    fn push_state(&mut self, key: Arc<[u32]>) -> u32 {
         let id = self.states.len() as u32;
-        self.intern.insert(key.clone(), id);
+        self.intern.insert(Arc::clone(&key), id);
         self.states.push(key);
         self.trans
             .extend(std::iter::repeat_n(UNBUILT, self.n_classes));
@@ -223,18 +225,25 @@ impl LazyDfaEngine {
         id
     }
 
-    /// Interns a state key, flushing the cache if full. Returns the id.
-    fn intern_state(&mut self, key: Box<[u32]>) -> u32 {
-        if let Some(&id) = self.intern.get(&key) {
+    /// Interns the start state's key; returns its id.
+    fn start_state(&mut self) -> u32 {
+        let key = Arc::clone(&self.start_key);
+        self.intern_state(&key)
+    }
+
+    /// Interns a state key, flushing the cache if full. Returns the id;
+    /// the key is only allocated when it is new.
+    fn intern_state(&mut self, key: &[u32]) -> u32 {
+        if let Some(&id) = self.intern.get(key) {
             return id;
         }
         if self.states.len() >= self.max_states {
             self.flush();
-            if let Some(&id) = self.intern.get(&key) {
+            if let Some(&id) = self.intern.get(key) {
                 return id; // key was the start state
             }
         }
-        self.push_state(key)
+        self.push_state(key.into())
     }
 
     /// Computes (and caches when possible) the transition out of `cur` on
@@ -247,7 +256,7 @@ impl LazyDfaEngine {
         let byte = self.class_rep[k];
         let mut next: Vec<u32> = Vec::new();
         let mut reports: Vec<(u32, bool)> = Vec::new();
-        let key = std::mem::take(&mut self.states[cur as usize]);
+        let key = Arc::clone(&self.states[cur as usize]);
         let always = std::mem::take(&mut self.always);
         for &s in key.iter().chain(always.iter()) {
             let si = s as usize;
@@ -265,7 +274,6 @@ impl LazyDfaEngine {
                 }
             }
         }
-        self.states[cur as usize] = key;
         self.always = always;
         next.sort_unstable();
         next.dedup();
@@ -291,7 +299,7 @@ impl LazyDfaEngine {
             }
         };
         let flushes_before = self.flushes;
-        let next_id = self.intern_state(next.into_boxed_slice());
+        let next_id = self.intern_state(&next);
         if self.flushes == flushes_before {
             let idx = cur as usize * self.n_classes + k;
             self.trans[idx] = next_id;
@@ -343,7 +351,7 @@ impl LazyDfaEngine {
 
 impl StreamingEngine for LazyDfaEngine {
     fn reset_stream(&mut self) {
-        self.stream_cur = self.intern_state(self.start_key.clone());
+        self.stream_cur = self.start_state();
         self.stream_offset = 0;
         self.pending_eod.clear();
     }
@@ -373,7 +381,7 @@ impl StreamingEngine for LazyDfaEngine {
 
 impl Engine for LazyDfaEngine {
     fn scan(&mut self, input: &[u8], sink: &mut dyn ReportSink) {
-        let start = self.intern_state(self.start_key.clone());
+        let start = self.start_state();
         self.process(start, input, 0, true, sink);
     }
 
@@ -386,7 +394,7 @@ impl Engine for LazyDfaEngine {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::sink::CollectSink;
+    use crate::sink::{CollectSink, Report};
 
     fn abc() -> Automaton {
         let mut a = Automaton::new();
@@ -421,6 +429,70 @@ mod tests {
         engine.scan(b"abcabcabc", &mut sink);
         assert_eq!(sink.reports().len(), 3);
         assert!(engine.flush_count() > 0);
+    }
+
+    /// Overlapping literals over a small alphabet: enough distinct DFA
+    /// states to force flushes in a three-state cache.
+    fn overlapping_words() -> Automaton {
+        let mut a = Automaton::new();
+        for (code, word) in [&b"abca"[..], b"bcab", b"cabd", b"aab"].iter().enumerate() {
+            let classes: Vec<SymbolClass> =
+                word.iter().map(|&b| SymbolClass::from_byte(b)).collect();
+            let (_, last) = a.add_chain(&classes, StartKind::AllInput);
+            a.set_report(last, code as u32);
+        }
+        a
+    }
+
+    fn block_and_chunked(engine: &mut dyn crate::SessionEngine, input: &[u8]) -> [Vec<Report>; 2] {
+        let mut block = CollectSink::new();
+        engine.scan(input, &mut block);
+        engine.reset_stream();
+        let mut chunked = CollectSink::new();
+        let chunks: Vec<&[u8]> = input.chunks(997).collect();
+        for (i, chunk) in chunks.iter().enumerate() {
+            engine.feed(chunk, i + 1 == chunks.len(), &mut chunked);
+        }
+        [block, chunked].map(|sink| sink.reports().to_vec())
+    }
+
+    #[test]
+    fn cloned_sessions_share_keys_and_survive_the_originals_flushes() {
+        let a = overlapping_words();
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let input: Vec<u8> = (0..5_000)
+            .map(|_| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                b"abcdx"[(rng % 5) as usize]
+            })
+            .collect();
+        let mut want = CollectSink::new();
+        crate::NfaEngine::new(&a).unwrap().scan(&input, &mut want);
+        let want = want.reports().to_vec();
+        assert!(!want.is_empty());
+
+        let mut original = LazyDfaEngine::with_max_states(&a, 3).unwrap();
+        let mut sink = CollectSink::new();
+        original.scan(&input[..64], &mut sink);
+        let mut clone = crate::SessionEngine::clone_session(&original);
+        let before = original.flush_count();
+        // The original flushes and re-interns while the clone still
+        // holds the keys it was cloned with.
+        assert_eq!(
+            block_and_chunked(&mut original, &input),
+            [want.clone(), want.clone()]
+        );
+        assert!(original.flush_count() > before);
+        assert_eq!(
+            block_and_chunked(clone.as_mut(), &input),
+            [want.clone(), want.clone()]
+        );
+        assert_eq!(
+            block_and_chunked(&mut original, &input),
+            [want.clone(), want]
+        );
     }
 
     #[test]

@@ -100,8 +100,11 @@ pub trait Engine {
 /// Blanket-implemented for every `Clone` engine in the portfolio, so
 /// [`select_session_engine`] can box any tier.
 pub trait SessionEngine: Engine + StreamingEngine + Send {
-    /// A fresh executor over the same compiled tables — a memcpy of the
-    /// compiled form, with no recompilation or validation. Session pools
+    /// A fresh executor over the same compiled tables — a copy of the
+    /// compiled form, with no recompilation or validation. Immutable
+    /// parts may be shared rather than copied: the lazy DFA's interned
+    /// state keys are reference-counted, so a clone points at the same
+    /// keys instead of copying them. Session pools
     /// use this to grow a free list past the prototype; steady-state
     /// checkouts then reuse pooled engines without any allocation.
     fn clone_session(&self) -> Box<dyn SessionEngine>;

@@ -60,7 +60,8 @@ fn preflight(a: &Automaton) -> Result<(), EngineError> {
 /// 1. chain-shaped automata → [`BitParallelEngine`] (dense bitwise
 ///    advance; best for literal sets, RF chains, CRISPR filters) —
 ///    chosen only while the state vector stays cache-resident;
-/// 2. counter-free automata of bounded size → the DFA tier:
+/// 2. counter-free automata of bounded size that are not layered
+///    edit-distance meshes → the DFA tier:
 ///    [`ShengEngine`] when the machine determinizes to at most 16
 ///    states (single-`pshufb` stepping), [`LazyDfaEngine`] otherwise;
 /// 3. automata whose components mostly carry required literals →
@@ -86,8 +87,9 @@ pub fn select_engine(a: &Automaton) -> Result<(EngineChoice, Box<dyn Engine>), E
 /// Subset construction over such a mesh enumerates the pattern's
 /// positions-×-edits antichains and blows up exponentially in the edit
 /// budget, while sparse simulation carries at most one active frontier
-/// per error layer — so the portfolio routes these straight to the NFA
-/// tier rather than letting the lazy DFA thrash its cache. The acyclic
+/// per error layer — so the portfolio keeps these out of the DFA tier
+/// rather than letting the lazy DFA thrash its cache; the prefilter gate
+/// still decides between the prefilter and the NFA. The acyclic
 /// check keeps self-looping shapes (SeqMatch skip states, `.*` cores)
 /// out: those determinize fine.
 fn fuzzy_layered_shape(a: &Automaton) -> Option<usize> {
@@ -209,19 +211,13 @@ pub fn select_session_engine_explained(
         }
     }
     // Layered edit-distance meshes (azoo-fuzzy, the zoo's Levenshtein /
-    // Hamming filters) determinize explosively — the subset automaton
-    // enumerates position-×-edit antichains — while sparse simulation
-    // tracks one frontier per error layer. Route them past the DFA tier.
-    if let Some(wide) = fuzzy_layered_shape(a) {
-        let reason = format!(
-            "layered edit-distance mesh ({} of {} states carry wide error-track classes): \
-             determinizes explosively, sparse NFA frontier wins",
-            wide,
-            a.state_count()
-        );
-        return Ok((EngineChoice::Nfa, reason, Box::new(NfaEngine::new(a)?)));
-    }
-    if a.counter_count() == 0 && a.state_count() <= 200_000 {
+    // Hamming filters, `??`-heavy signature sets) determinize
+    // explosively — the subset automaton enumerates position-×-edit
+    // antichains — so they skip the DFA tier. The prefilter gate still
+    // gets a vote: signature sets carry required literals, fuzzy meshes
+    // do not and end on the sparse NFA.
+    let mesh = fuzzy_layered_shape(a);
+    if a.counter_count() == 0 && a.state_count() <= 200_000 && mesh.is_none() {
         // Within the DFA tier the shuffle DFA wins whenever it applies:
         // a machine that fits 16 DFA states steps in one pshufb with no
         // cache probes, so the lazy DFA only takes the remainder.
@@ -257,7 +253,7 @@ pub fn select_session_engine_explained(
         );
         return Ok((EngineChoice::Prefilter, reason, Box::new(engine)));
     }
-    let reason = if engine.component_count() == 0 {
+    let verdict = if engine.component_count() == 0 {
         "no prefilterable literals: sparse NFA simulation".to_string()
     } else {
         format!(
@@ -267,6 +263,14 @@ pub fn select_session_engine_explained(
             engine.literal_count(),
             engine.min_literal_len()
         )
+    };
+    let reason = match mesh {
+        Some(wide) => format!(
+            "layered edit-distance mesh ({wide} of {} states carry wide error-track classes) \
+             skips the DFA tier; {verdict}",
+            a.state_count()
+        ),
+        None => verdict,
     };
     Ok((EngineChoice::Nfa, reason, Box::new(NfaEngine::new(a)?)))
 }
@@ -300,7 +304,7 @@ pub fn select_session_engine_threaded(
 mod tests {
     use super::*;
     use crate::sink::CollectSink;
-    use azoo_core::{CounterMode, StartKind, SymbolClass};
+    use azoo_core::{CounterMode, StartKind, StateId, SymbolClass};
 
     #[test]
     fn chains_get_bit_parallel() {
@@ -446,8 +450,9 @@ mod tests {
     #[test]
     fn fuzzy_meshes_route_straight_to_nfa() {
         // A 24-byte pattern at edit distance 2: well within the DFA
-        // tier's size cut, but the layered-mesh detector must route it
-        // to sparse simulation before subset construction gets a vote.
+        // tier's size cut, but the layered-mesh detector keeps it out of
+        // subset construction, and with no required literal the
+        // prefilter gate sends it on to sparse simulation.
         let (a, _) = azoo_fuzzy::fuzzy_from_bytes(
             b"approximate_dictionary_x",
             2,
@@ -465,6 +470,48 @@ mod tests {
         let mut sink = CollectSink::new();
         engine.scan(b"zz approxmiate_dictionary_x zz", &mut sink);
         assert!(!sink.reports().is_empty());
+    }
+
+    #[test]
+    fn mesh_shaped_signature_sets_take_the_prefilter() {
+        // ClamAV in miniature: `sigNNN{3-6}endNNN`, two 6-byte literals
+        // joined by a variable run of `??` wildcards. A third of the
+        // states are full-class and the machine is acyclic, so it has
+        // the mesh shape — but every component carries a required
+        // literal, so the prefilter gate admits it.
+        fn literal(a: &mut Automaton, text: &str, start: StartKind) -> (StateId, StateId) {
+            let classes: Vec<SymbolClass> = text.bytes().map(SymbolClass::from_byte).collect();
+            a.add_chain(&classes, start)
+        }
+        let mut a = Automaton::new();
+        for i in 0..8u32 {
+            let (_, head_end) = literal(&mut a, &format!("sig{i:03}"), StartKind::AllInput);
+            let (tail_start, tail_end) = literal(&mut a, &format!("end{i:03}"), StartKind::None);
+            let mut prev = head_end;
+            for gap in 1..=6 {
+                let w = a.add_ste(SymbolClass::FULL, StartKind::None);
+                a.add_edge(prev, w);
+                if gap >= 3 {
+                    a.add_edge(w, tail_start);
+                }
+                prev = w;
+            }
+            a.set_report(tail_end, i);
+        }
+        let wide = fuzzy_layered_shape(&a).expect("mesh-shaped");
+        assert!(wide >= 16 && wide * 4 >= a.state_count());
+
+        let (choice, reason, mut engine) = select_session_engine_explained(&a).unwrap();
+        assert_eq!(choice, EngineChoice::Prefilter, "{reason}");
+
+        let input = b"xx sig001abcend001 sig002abcdefend002 sig003abend003 \
+                      sig004abcdefgend004 sig005..sig005xyzend005 sig007123456end007";
+        let mut got = CollectSink::new();
+        engine.scan(input, &mut got);
+        let mut want = CollectSink::new();
+        NfaEngine::new(&a).unwrap().scan(input, &mut want);
+        assert_eq!(got.reports(), want.reports());
+        assert_eq!(want.reports().len(), 4);
     }
 
     #[test]

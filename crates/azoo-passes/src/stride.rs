@@ -24,7 +24,7 @@
 //! bit). Reports that fire mid-byte are attributed to the byte containing
 //! them.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use azoo_core::{Automaton, ElementKind, StartKind, StateId, SymbolClass};
 
@@ -92,8 +92,10 @@ pub fn stride_bits(a: &Automaton, k: usize) -> Result<Automaton, PassError> {
 
     // Phase 1: byte-level relation from each boundary state.
     // labels[s] : target -> byte label; reports[s] : code -> byte label.
-    let mut labels: HashMap<u32, HashMap<u32, SymbolClass>> = HashMap::new();
-    let mut reports: HashMap<u32, HashMap<u32, SymbolClass>> = HashMap::new();
+    // Ordered maps: phase 2 numbers output states in iteration order, so
+    // the output is a function of the input alone.
+    let mut labels: BTreeMap<u32, BTreeMap<u32, SymbolClass>> = BTreeMap::new();
+    let mut reports: BTreeMap<u32, BTreeMap<u32, SymbolClass>> = BTreeMap::new();
     let starts: Vec<(StateId, StartKind)> = a
         .iter()
         .filter(|(_, e)| e.start_kind() != StartKind::None)
@@ -102,7 +104,7 @@ pub fn stride_bits(a: &Automaton, k: usize) -> Result<Automaton, PassError> {
     let mut worklist: Vec<u32> = starts.iter().map(|(id, _)| id.index() as u32).collect();
     worklist.sort_unstable();
     worklist.dedup();
-    let mut visited: std::collections::HashSet<u32> = worklist.iter().copied().collect();
+    let mut visited: HashSet<u32> = worklist.iter().copied().collect();
 
     while let Some(s) = worklist.pop() {
         let entry = labels.entry(s).or_default();
@@ -151,15 +153,18 @@ pub fn stride_bits(a: &Automaton, k: usize) -> Result<Automaton, PassError> {
     // report companion per (boundary state, code).
     let mut out = Automaton::new();
     let mut state_of: HashMap<(u32, SymbolClass), StateId> = HashMap::new();
+    // copies[s]: every homogeneous copy (s, K) of s, in creation order.
+    let mut copies: HashMap<u32, Vec<StateId>> = HashMap::new();
     let mut rep_of: HashMap<(u32, u32), StateId> = HashMap::new();
 
     // Create (target, label) states and report companions.
-    for (&s, targets) in &labels {
-        let _ = s;
+    for targets in labels.values() {
         for (&t, label) in targets {
-            state_of
-                .entry((t, *label))
-                .or_insert_with(|| out.add_ste(*label, StartKind::None));
+            state_of.entry((t, *label)).or_insert_with(|| {
+                let id = out.add_ste(*label, StartKind::None);
+                copies.entry(t).or_default().push(id);
+                id
+            });
         }
     }
     for (&s, codes) in &reports {
@@ -175,17 +180,12 @@ pub fn stride_bits(a: &Automaton, k: usize) -> Result<Automaton, PassError> {
     // means "s is byte-enabled for the next byte", so each copy of s
     // activates (t, L) for every byte-edge (s, L, t) and arms s's own
     // report companions for the next byte.
-    let mut edge_seen = std::collections::HashSet::new();
+    let mut edge_seen = HashSet::new();
     for (&s, targets) in &labels {
-        // All homogeneous copies of s.
-        let copies: Vec<StateId> = state_of
-            .iter()
-            .filter(|((t, _), _)| *t == s)
-            .map(|(_, &id)| id)
-            .collect();
+        let copies = copies.get(&s).map_or(&[][..], Vec::as_slice);
         for (&t, label) in targets {
             let to = state_of[&(t, *label)];
-            for &from in &copies {
+            for &from in copies {
                 if edge_seen.insert((from, to)) {
                     out.add_edge(from, to);
                 }
@@ -194,7 +194,7 @@ pub fn stride_bits(a: &Automaton, k: usize) -> Result<Automaton, PassError> {
         if let Some(codes) = reports.get(&s) {
             for &code in codes.keys() {
                 let rep = rep_of[&(s, code)];
-                for &from in &copies {
+                for &from in copies {
                     if edge_seen.insert((from, rep)) {
                         out.add_edge(from, rep);
                     }

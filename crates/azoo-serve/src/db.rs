@@ -553,11 +553,24 @@ impl Default for DbCache {
     }
 }
 
-/// One cached database plus the fingerprint of the exact artifact bytes
-/// it was verified against (`None` until an artifact load verified it).
+/// One cached database plus what [`DbCache::get_or_load`] may compare
+/// presented artifact bytes against.
 struct CacheEntry {
     db: Arc<Db>,
-    artifact_fp: Option<u64>,
+    artifact_fp: ArtifactFp,
+}
+
+/// The artifact fingerprint of a [`CacheEntry`].
+enum ArtifactFp {
+    /// Inserted under a derived key: the entry answers only
+    /// [`DbCache::get`].
+    Never,
+    /// Registered locally by [`DbCache::insert`]: its fingerprint is that
+    /// of its own canonical serialization, computed on first artifact
+    /// lookup (registration itself never serializes).
+    Deferred,
+    /// The fingerprint of the exact bytes the entry was verified against.
+    Known(u64),
 }
 
 /// FNV-1a over the raw artifact bytes: cheap relative to a scan feed,
@@ -602,22 +615,22 @@ impl DbCache {
             key,
             CacheEntry {
                 db,
-                artifact_fp: None,
+                artifact_fp: ArtifactFp::Never,
             },
         );
     }
 
     /// Inserts (or replaces) a database; returns its cache key. The
-    /// entry is fingerprinted against the database's own serialization,
-    /// so the canonical artifact hits [`DbCache::get_or_load`] directly.
+    /// canonical artifact of the database hits [`DbCache::get_or_load`]:
+    /// the entry's fingerprint is that of its own serialization, computed
+    /// the first time artifact bytes are presented under its key.
     pub fn insert(&self, db: Arc<Db>) -> u64 {
         let key = db.cache_key();
-        let fp = artifact_fingerprint(&db.serialize());
         self.map.lock().insert(
             key,
             CacheEntry {
                 db,
-                artifact_fp: Some(fp),
+                artifact_fp: ArtifactFp::Deferred,
             },
         );
         key
@@ -639,10 +652,33 @@ impl DbCache {
         let key = Db::peek_key(bytes)?;
         let fp = artifact_fingerprint(bytes);
         sched::point("cache:lookup");
-        if let Some(entry) = self.map.lock().get(&key) {
-            if entry.artifact_fp == Some(fp) {
+        let deferred = match self.map.lock().get(&key) {
+            Some(CacheEntry {
+                db,
+                artifact_fp: ArtifactFp::Known(known),
+            }) if *known == fp => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((entry.db.clone(), true));
+                return Ok((db.clone(), true));
+            }
+            Some(CacheEntry {
+                db,
+                artifact_fp: ArtifactFp::Deferred,
+            }) => Some(db.clone()),
+            _ => None,
+        };
+        if let Some(db) = deferred {
+            // Serialize outside the map lock; record the fingerprint only
+            // if the entry was not replaced meanwhile.
+            let own = artifact_fingerprint(&db.serialize());
+            sched::point("cache:fingerprinted");
+            if let Some(entry) = self.map.lock().get_mut(&key) {
+                if Arc::ptr_eq(&entry.db, &db) {
+                    entry.artifact_fp = ArtifactFp::Known(own);
+                }
+            }
+            if own == fp {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok((db, true));
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -652,7 +688,7 @@ impl DbCache {
             key,
             CacheEntry {
                 db: db.clone(),
-                artifact_fp: Some(fp),
+                artifact_fp: ArtifactFp::Known(fp),
             },
         );
         Ok((db, false))
@@ -937,15 +973,61 @@ mod tests {
         assert!(hit);
     }
 
+    fn entry_fp(cache: &DbCache, key: u64) -> Option<u64> {
+        match cache.map.lock()[&key].artifact_fp {
+            ArtifactFp::Known(fp) => Some(fp),
+            ArtifactFp::Never | ArtifactFp::Deferred => None,
+        }
+    }
+
     #[test]
     fn registered_db_hits_on_its_canonical_artifact() {
         let cache = DbCache::new();
         let db = Db::compile(cat(), DbConfig::default()).expect("compile");
         let bytes = db.serialize();
-        cache.insert(db.clone());
+        let key = cache.insert(db.clone());
+        assert_eq!(entry_fp(&cache, key), None, "insert must not serialize");
+
         let (found, hit) = cache.get_or_load(&bytes).expect("load");
         assert!(hit, "canonical serialization of an inserted db is a hit");
         assert!(Arc::ptr_eq(&found, &db));
+        assert_eq!(entry_fp(&cache, key), Some(artifact_fingerprint(&bytes)));
+
+        // The second lookup compares against the stored fingerprint.
+        let (found, hit) = cache.get_or_load(&bytes).expect("load");
+        assert!(hit && Arc::ptr_eq(&found, &db));
+        assert_eq!((cache.hits(), cache.misses()), (2, 0));
+    }
+
+    #[test]
+    fn tampered_artifact_never_rides_a_registered_entry() {
+        let cache = DbCache::new();
+        let db = Db::compile(cat(), DbConfig::default()).expect("compile");
+        let good = db.serialize();
+        let key = cache.insert(db.clone());
+
+        // Flip the report code 0 -> 1: still valid MNRL, different
+        // machine, so the full load path dies on the content hash.
+        let field = good
+            .windows(10)
+            .position(|w| w == b"\"reportId\"")
+            .expect("report code in payload");
+        let at = field
+            + good[field..]
+                .iter()
+                .position(|&b| b == b'0')
+                .expect("code 0");
+        let mut bad = good.clone();
+        bad[at] ^= 0x01;
+        assert!(matches!(
+            cache.get_or_load(&bad),
+            Err(DbError::HashMismatch { .. })
+        ));
+        assert!(Arc::ptr_eq(&cache.map.lock()[&key].db, &db), "never cached");
+        assert_eq!(cache.len(), 1);
+
+        let (found, hit) = cache.get_or_load(&good).expect("load");
+        assert!(hit && Arc::ptr_eq(&found, &db));
     }
 
     #[test]

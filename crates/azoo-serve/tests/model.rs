@@ -10,7 +10,8 @@
 //!    executor lands back in the pool.
 //! 2. `DbCache::get_or_load` concurrent miss/tamper — a tampered
 //!    artifact never gets served or cached, no matter how its load
-//!    interleaves with the genuine artifact's.
+//!    interleaves with the genuine artifact's, and two first lookups of
+//!    a registered entry share its one `Arc<Db>`.
 //! 3. quota reserve-verify-rollback — concurrent opens over a quota of
 //!    one admit exactly one session in every interleaving, and the
 //!    loser's rollback leaks nothing.
@@ -71,60 +72,71 @@ fn model_close_feed_race() {
     assert!(stats.schedules > 1, "the race must actually branch");
 }
 
-/// Model 2: a genuine artifact and a tampered one (same cache key —
-/// the header is untouched) race through `DbCache::get_or_load`. In
-/// every interleaving the tampered bytes die on verification and the
-/// cache ends up serving only the verified artifact.
+/// Model 2: a genuine artifact and a second one race through
+/// `DbCache::get_or_load`, over an empty cache (a concurrent miss) and
+/// over a locally registered entry (whose fingerprint both racers may
+/// try to compute on this first artifact lookup). The second artifact is
+/// either the same genuine bytes or a tampered copy (same cache key —
+/// the header is untouched). In every interleaving the tampered bytes die
+/// on verification, genuine lookups of a registered entry all get the
+/// registered `Arc<Db>`, and the cache ends up serving only the verified
+/// artifact.
 #[test]
 fn model_cache_concurrent_miss_and_tamper() {
-    let good = ab_db().serialize();
+    let registered = ab_db();
+    let good = registered.serialize();
     let mut bad = good.clone();
     let last = bad.len() - 1;
     bad[last] ^= 0x01; // payload flip under a genuine header
 
-    let stats = sched::model(|| {
-        let cache = Arc::new(DbCache::new());
-        let (tx_g, rx_g) = mpsc::channel();
-        let (tx_b, rx_b) = mpsc::channel();
+    for (register, second) in [(false, &bad), (true, &good), (true, &bad)] {
+        let stats = sched::model(|| {
+            let cache = Arc::new(DbCache::new());
+            if register {
+                cache.insert(registered.clone());
+            }
+            let lookup = |bytes: &Vec<u8>| {
+                let (cache, bytes) = (cache.clone(), bytes.clone());
+                let (tx, rx) = mpsc::channel();
+                let thread = sched::thread(move || {
+                    tx.send(cache.get_or_load(&bytes)).unwrap();
+                });
+                (thread, rx)
+            };
+            let (first, rx_first) = lookup(&good);
+            let (other, rx_other) = lookup(second);
+            sched::run(vec![first, other]);
 
-        let (cache_g, bytes_g) = (cache.clone(), good.clone());
-        let loader = sched::thread(move || {
-            tx_g.send(
-                cache_g
-                    .get_or_load(&bytes_g)
-                    .map(|(db, hit)| (db.content_hash(), hit)),
-            )
-            .unwrap();
+            let (db, _) = rx_first
+                .recv()
+                .unwrap()
+                .expect("genuine artifact always loads");
+            if register {
+                assert!(Arc::ptr_eq(&db, &registered), "registered db served");
+            }
+            match rx_other.recv().unwrap() {
+                Ok((other_db, _)) if second == &good => {
+                    if register {
+                        assert!(Arc::ptr_eq(&other_db, &db), "both share one db");
+                    }
+                }
+                // Depending on which byte the flip lands on, verification
+                // kills the artifact at JSON decode or at the hash check —
+                // either way it dies in the full load path, never the cache.
+                Err(DbError::HashMismatch { .. }) | Err(DbError::Core(_)) if second == &bad => {}
+                Err(other) => panic!("tamper must die in verification, got {other:?}"),
+                Ok(_) => panic!("tampered artifact must never be served"),
+            }
+            // Whatever the interleaving left behind, the genuine bytes are
+            // what the cache serves — and they hit, so the entry's
+            // fingerprint is the verified one, not the tamperer's.
+            let (_, hit) = cache.get_or_load(&good).expect("post-state load");
+            assert!(hit, "the cache must end up keyed to the verified bytes");
+            assert_eq!(cache.len(), 1);
         });
-        let (cache_b, bytes_b) = (cache.clone(), bad.clone());
-        let tamperer = sched::thread(move || {
-            tx_b.send(
-                cache_b
-                    .get_or_load(&bytes_b)
-                    .map(|(db, hit)| (db.content_hash(), hit)),
-            )
-            .unwrap();
-        });
-        sched::run(vec![loader, tamperer]);
-
-        rx_g.recv().unwrap().expect("genuine artifact always loads");
-        match rx_b.recv().unwrap() {
-            // Depending on which byte the flip lands on, verification
-            // kills the artifact at JSON decode or at the hash check —
-            // either way it dies in the full load path, never the cache.
-            Err(DbError::HashMismatch { .. }) | Err(DbError::Core(_)) => {}
-            Err(other) => panic!("tamper must die in verification, got {other:?}"),
-            Ok(_) => panic!("tampered artifact must never be served"),
-        }
-        // Whatever the interleaving left behind, the genuine bytes are
-        // what the cache serves — and they hit, so the entry's
-        // fingerprint is the verified one, not the tamperer's.
-        let (_, hit) = cache.get_or_load(&good).expect("post-state load");
-        assert!(hit, "the cache must end up keyed to the verified bytes");
-        assert_eq!(cache.len(), 1);
-    });
-    assert!(stats.complete, "interleaving space must be exhausted");
-    assert!(stats.schedules > 1, "the race must actually branch");
+        assert!(stats.complete, "interleaving space must be exhausted");
+        assert!(stats.schedules > 1, "the race must actually branch");
+    }
 }
 
 /// Model 3: two opens race a quota of one. Exactly one wins in every

@@ -214,15 +214,18 @@ pub fn mpeg2_pes_bits() -> Ast {
     Ast::Concat(bits)
 }
 
-fn compile_bit_pattern(ast: Ast, code: u32) -> Automaton {
+fn bit_automaton(ast: Ast, code: u32) -> Automaton {
     let pattern = Pattern {
         ast,
         anchored_start: false,
         anchored_end: false,
         flags: Flags::default(),
     };
-    let bit_nfa = compile_pattern(&pattern, code).expect("bit patterns are well-formed");
-    stride8(&bit_nfa).expect("bit patterns stride cleanly")
+    compile_pattern(&pattern, code).expect("bit patterns are well-formed")
+}
+
+fn compile_bit_pattern(ast: Ast, code: u32) -> Automaton {
+    stride8(&bit_automaton(ast, code)).expect("bit patterns stride cleanly")
 }
 
 /// Builds the nine-pattern File Carving automaton.
@@ -282,6 +285,16 @@ mod tests {
     use super::*;
     use azoo_engines::{CollectSink, Engine, NfaEngine};
     use azoo_workloads::media::{dos_date, dos_time, zip_local_header};
+
+    #[test]
+    fn stride8_numbers_states_deterministically() {
+        for ast in [zip_local_header_bits(), mpeg2_pack_bits(), mpeg2_pes_bits()] {
+            let bits = bit_automaton(ast, 0);
+            let once = azoo_core::mnrl::to_json(&stride8(&bits).unwrap(), "fc");
+            let twice = azoo_core::mnrl::to_json(&stride8(&bits).unwrap(), "fc");
+            assert_eq!(once, twice);
+        }
+    }
 
     fn codes_in(a: &Automaton, input: &[u8]) -> std::collections::HashSet<u32> {
         let mut engine = NfaEngine::new(a).unwrap();
