@@ -39,6 +39,8 @@
 //! — byte-identical to [`NfaEngine`] on the same automaton, which the
 //! differential suite verifies across all 27 benchmarks.
 
+use std::sync::Arc;
+
 use azoo_core::{stats::longest_path_from_starts, Automaton};
 use azoo_passes::prefilter_plan;
 
@@ -62,8 +64,8 @@ pub const PREFILTER_COVERAGE_GATE: f64 = 0.5;
 /// scan several times faster.
 const FALLBACK_DFA_CLASS_CAP: usize = 64;
 
-/// One gated component and its streaming simulation state.
-#[derive(Debug, Clone)]
+/// One gated component's compiled form, shared by every clone.
+#[derive(Debug)]
 struct GatedComponent {
     /// When set, the component's sole factor *is* its every match: the
     /// factor starts at a start state (`before == 0`), ends at the only
@@ -72,11 +74,21 @@ struct GatedComponent {
     /// trigger hit ending at `e` then reports `(e, code)` directly,
     /// with no simulation at all.
     exact: Option<azoo_core::ReportCode>,
+    /// The reset engine a session copies the first time a span reaches
+    /// the component.
     engine: NfaEngine,
     /// Span reach behind a hit end: `max(len + before)` over factors.
     back: u64,
     /// Span reach past a hit end: `max(after)` over factors.
     fwd: u64,
+}
+
+/// One gated component's streaming simulation state in one session.
+#[derive(Debug, Clone, Default)]
+struct ComponentRun {
+    /// This session's copy of the component's engine; `None` until a
+    /// span first reaches the component, so a clone copies no engine.
+    engine: Option<Box<NfaEngine>>,
     /// Reports at global offsets below this were already emitted.
     simulated_to: u64,
     /// Global offset of the last cold start, so pending end-of-data
@@ -91,7 +103,7 @@ struct GatedComponent {
     /// the watermark may continue it instead of cold-starting.
     hot: bool,
     /// An `eod` feed already flushed this component's end-of-data
-    /// reports this round (transient, cleared every feed).
+    /// reports this round (transient: set and cleared within one feed).
     eod_flushed: bool,
 }
 
@@ -155,6 +167,7 @@ impl FallbackSim {
 /// every byte before `base`). Hits are re-sorted by end position because
 /// Teddy reports in start order and pattern lengths differ.
 #[derive(Debug, Clone)]
+#[allow(clippy::large_enum_variant)] // one per engine; boxing buys nothing
 enum Trigger {
     Ac(AhoCorasick),
     Teddy {
@@ -256,7 +269,10 @@ pub struct PrefilterEngine {
     matcher: Trigger,
     /// Pattern index (as fed to the matcher) → gated component index.
     pat_comp: Vec<u32>,
-    components: Vec<GatedComponent>,
+    /// Compiled components, immutable and shared by clones.
+    components: Arc<[GatedComponent]>,
+    /// Per-component streaming state, indexed like `components`.
+    runs: Vec<ComponentRun>,
     fallback: Option<FallbackSim>,
     coverage: f64,
     min_literal_len: usize,
@@ -267,6 +283,13 @@ pub struct PrefilterEngine {
     // Streaming state and per-feed scratch.
     tail: Vec<u8>,
     stream_offset: u64,
+    /// Components simulated since the last reset (`hot`), in first-touch
+    /// order. Every other run is still in its reset state, so a
+    /// feed, a reset or an end-of-data flush visits only these and the
+    /// ones hit this feed — never the whole (ClamAV: 3,300) list.
+    live: Vec<u32>,
+    /// Components with spans this feed, in first-span order.
+    pending: Vec<u32>,
     hits: Vec<LiteralHit>,
     spans: Vec<Vec<(u64, u64)>>,
     reports: Vec<Report>,
@@ -341,11 +364,6 @@ impl PrefilterEngine {
                 engine: NfaEngine::new(&pc.automaton)?,
                 back,
                 fwd,
-                simulated_to: 0,
-                last_span_base: 0,
-                open_until: 0,
-                hot: false,
-                eod_flushed: false,
             });
         }
         let fallback = match &plan.fallback {
@@ -364,13 +382,16 @@ impl PrefilterEngine {
         Ok(PrefilterEngine {
             matcher: Trigger::build_with(&patterns, level),
             pat_comp,
-            components,
+            components: components.into(),
+            runs: vec![ComponentRun::default(); n_comp],
             fallback,
             coverage: plan.coverage(),
             min_literal_len,
             keep,
             tail: Vec::new(),
             stream_offset: 0,
+            live: Vec::new(),
+            pending: Vec::new(),
             hits: Vec::new(),
             spans: vec![Vec::new(); n_comp],
             reports: Vec::new(),
@@ -458,13 +479,15 @@ impl ReportSink for VecSink<'_> {
 impl StreamingEngine for PrefilterEngine {
     fn reset_stream(&mut self) {
         self.matcher.reset();
-        for c in &mut self.components {
-            c.simulated_to = 0;
-            c.last_span_base = 0;
-            c.open_until = 0;
-            c.hot = false;
-            c.eod_flushed = false;
-            c.engine.reset_stream();
+        for ci in self.live.drain(..) {
+            let run = &mut self.runs[ci as usize];
+            run.simulated_to = 0;
+            run.last_span_base = 0;
+            run.open_until = 0;
+            run.hot = false;
+            if let Some(engine) = &mut run.engine {
+                engine.reset_stream();
+            }
         }
         if let Some(fb) = &mut self.fallback {
             fb.reset_stream();
@@ -478,13 +501,14 @@ impl StreamingEngine for PrefilterEngine {
         self.stream_offset == 0
             && self.tail.is_empty()
             && self.tail_reports.is_empty()
+            && self.live.is_empty()
             && self.matcher.quiesced()
-            && self.components.iter().all(|c| {
-                c.simulated_to == 0
-                    && c.last_span_base == 0
-                    && c.open_until == 0
-                    && !c.hot
-                    && c.engine.stream_quiesced()
+            && self.runs.iter().all(|r| {
+                r.simulated_to == 0
+                    && r.last_span_base == 0
+                    && r.open_until == 0
+                    && !r.hot
+                    && r.engine.as_ref().is_none_or(|e| e.stream_quiesced())
             })
             && self.fallback.as_ref().is_none_or(|fb| fb.stream_quiesced())
     }
@@ -514,7 +538,11 @@ impl StreamingEngine for PrefilterEngine {
             let spans = &mut self.spans[ci];
             match spans.last_mut() {
                 Some(last) if s <= last.1 => last.1 = t.max(last.1),
-                _ => spans.push((s, t)),
+                Some(_) => spans.push((s, t)),
+                None => {
+                    spans.push((s, t));
+                    self.pending.push(ci as u32);
+                }
             }
         }
 
@@ -524,19 +552,23 @@ impl StreamingEngine for PrefilterEngine {
         // span when they touch. The continuation is contiguous with the
         // hot engine state by construction (`simulated_to` was clamped
         // to the previous stream end).
-        for ci in 0..self.components.len() {
-            let comp = &self.components[ci];
-            if comp.open_until == 0 {
+        for &ci in &self.live {
+            let run = &self.runs[ci as usize];
+            if run.open_until == 0 {
                 continue;
             }
-            debug_assert!(comp.hot && comp.simulated_to == base);
-            let spans = &mut self.spans[ci];
+            debug_assert!(run.hot && run.simulated_to == base);
+            let spans = &mut self.spans[ci as usize];
             match spans.first_mut() {
-                Some(first) if first.0 <= comp.open_until => {
-                    first.0 = first.0.min(comp.simulated_to);
-                    first.1 = first.1.max(comp.open_until);
+                Some(first) if first.0 <= run.open_until => {
+                    first.0 = first.0.min(run.simulated_to);
+                    first.1 = first.1.max(run.open_until);
                 }
-                _ => spans.insert(0, (comp.simulated_to, comp.open_until)),
+                Some(_) => spans.insert(0, (run.simulated_to, run.open_until)),
+                None => {
+                    spans.push((run.simulated_to, run.open_until));
+                    self.pending.push(ci);
+                }
             }
         }
 
@@ -547,52 +579,57 @@ impl StreamingEngine for PrefilterEngine {
         // base); a disjoint span restarts cold. Spans may reach back
         // into the previous chunks' tail, and a span whose forward reach
         // outruns this feed is clipped and left open for the next one.
-        for ci in 0..self.components.len() {
-            self.components[ci].eod_flushed = false;
-            for si in 0..self.spans[ci].len() {
-                let (s, t) = self.spans[ci][si];
-                let comp = &mut self.components[ci];
+        for &ci in &self.pending {
+            let ci = ci as usize;
+            let run = &mut self.runs[ci];
+            if !run.hot {
+                self.live.push(ci as u32);
+            }
+            let engine = run
+                .engine
+                .get_or_insert_with(|| Box::new(self.components[ci].engine.clone()));
+            for &(s, t) in &self.spans[ci] {
                 let t_clip = t.min(total);
                 let span_eod = eod && t_clip == total;
-                if comp.hot && s <= comp.simulated_to {
+                if run.hot && s <= run.simulated_to {
                     // Continue the live arms from the watermark.
-                    debug_assert!(s >= comp.last_span_base);
+                    debug_assert!(s >= run.last_span_base);
                     let mut ssink = SpanSink {
-                        base: comp.last_span_base,
-                        min: comp.simulated_to,
+                        base: run.last_span_base,
+                        min: run.simulated_to,
                         out: &mut self.reports,
                     };
-                    if comp.simulated_to < base {
-                        let back = (base - comp.simulated_to) as usize;
+                    if run.simulated_to < base {
+                        let back = (base - run.simulated_to) as usize;
                         debug_assert!(back <= self.tail.len());
                         let tail_part = &self.tail[self.tail.len() - back..];
-                        comp.engine.feed(tail_part, false, &mut ssink);
+                        engine.feed(tail_part, false, &mut ssink);
                     }
-                    let c0 = (comp.simulated_to.max(base) - base) as usize;
+                    let c0 = (run.simulated_to.max(base) - base) as usize;
                     let c1 = (t_clip.max(base) - base) as usize;
-                    comp.engine.feed(&chunk[c0..c1], span_eod, &mut ssink);
+                    engine.feed(&chunk[c0..c1], span_eod, &mut ssink);
                 } else {
-                    comp.engine.reset_stream();
+                    engine.reset_stream();
                     let mut ssink = SpanSink {
                         base: s,
-                        min: comp.simulated_to,
+                        min: run.simulated_to,
                         out: &mut self.reports,
                     };
                     if s < base {
                         let back = (base - s) as usize;
                         debug_assert!(back <= self.tail.len());
                         let tail_part = &self.tail[self.tail.len() - back..];
-                        comp.engine.feed(tail_part, false, &mut ssink);
+                        engine.feed(tail_part, false, &mut ssink);
                     }
                     let c0 = (s.max(base) - base) as usize;
                     let c1 = (t_clip.max(base) - base) as usize;
-                    comp.engine.feed(&chunk[c0..c1], span_eod, &mut ssink);
-                    comp.last_span_base = s;
+                    engine.feed(&chunk[c0..c1], span_eod, &mut ssink);
+                    run.last_span_base = s;
                 }
-                comp.simulated_to = t_clip;
-                comp.hot = true;
-                comp.open_until = if t > total && !eod { t } else { 0 };
-                comp.eod_flushed |= span_eod;
+                run.simulated_to = t_clip;
+                run.hot = true;
+                run.open_until = if t > total && !eod { t } else { 0 };
+                run.eod_flushed |= span_eod;
             }
             self.spans[ci].clear();
         }
@@ -607,16 +644,22 @@ impl StreamingEngine for PrefilterEngine {
         // literal hit reaches it), so their pending state is stale and
         // stays unflushed.
         if eod && chunk.is_empty() {
-            for comp in &mut self.components {
-                if comp.simulated_to == total && comp.simulated_to > 0 && !comp.eod_flushed {
-                    let mut ssink = SpanSink {
-                        base: comp.last_span_base,
-                        min: 0,
-                        out: &mut self.reports,
-                    };
-                    comp.engine.feed(&[], true, &mut ssink);
+            for &ci in &self.live {
+                let run = &mut self.runs[ci as usize];
+                if run.simulated_to == total && run.simulated_to > 0 && !run.eod_flushed {
+                    if let Some(engine) = &mut run.engine {
+                        let mut ssink = SpanSink {
+                            base: run.last_span_base,
+                            min: 0,
+                            out: &mut self.reports,
+                        };
+                        engine.feed(&[], true, &mut ssink);
+                    }
                 }
             }
+        }
+        for ci in self.pending.drain(..) {
+            self.runs[ci as usize].eod_flushed = false;
         }
 
         // Stage 3: full simulation of the fallback remainder.
@@ -830,6 +873,56 @@ mod tests {
             let mut sink = CollectSink::new();
             engine.scan(b"a hit and a hit", &mut sink);
             assert_eq!(sink.reports().len(), 2);
+        }
+    }
+
+    #[test]
+    fn clones_share_components_and_stream_independently() {
+        // `words?keys`: the gap splits it into two factors, so hits are
+        // simulated by the component's engine rather than reported
+        // straight from the trigger, and a span reaches past its hit.
+        let mut a = Automaton::new();
+        let classes: Vec<SymbolClass> = b"words?keys"
+            .iter()
+            .map(|&b| match b {
+                b'?' => SymbolClass::FULL,
+                _ => SymbolClass::from_byte(b),
+            })
+            .collect();
+        let (_, last) = a.add_chain(&classes, StartKind::AllInput);
+        a.set_report(last, 0);
+        word(&mut a, b"lone", 1);
+        let input = b"..words-keys..words";
+        let rest = b"+keys lone words!keys";
+        let mut whole = input.to_vec();
+        whole.extend_from_slice(rest);
+        let expect = nfa_reports(&a, &whole);
+
+        let proto = PrefilterEngine::new(&a).unwrap();
+        assert_eq!(proto.exact_component_count(), 1);
+        let mut engine = proto.clone();
+        assert!(engine.runs.iter().all(|r| r.engine.is_none()));
+        let mut sink = CollectSink::new();
+        engine.feed(input, false, &mut sink);
+        assert!(Arc::ptr_eq(&engine.components, &proto.components));
+        assert!(engine.runs.iter().any(|r| r.open_until > 0));
+
+        // A clone taken mid-stream (its gated span still open) finishes
+        // the stream exactly like the original.
+        let mut fork = engine.clone();
+        let mut fork_sink = sink.clone();
+        engine.feed(rest, true, &mut sink);
+        fork.feed(rest, true, &mut fork_sink);
+        assert_eq!(sink.sorted_reports(), expect);
+        assert_eq!(fork_sink.sorted_reports(), expect);
+
+        // Reset, both rerun from scratch; the untouched prototype too.
+        for e in [&mut engine, &mut fork, &mut proto.clone()] {
+            let mut s = CollectSink::new();
+            e.scan(&whole, &mut s);
+            assert_eq!(s.sorted_reports(), expect);
+            e.reset_stream();
+            assert!(e.stream_quiesced());
         }
     }
 }

@@ -37,7 +37,7 @@
 //! the code field; the session-feed errors are deterministic, so a
 //! client can retry or drop deterministically too.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 use crate::service::ServeError;
 
@@ -343,6 +343,10 @@ impl Response {
 
 /// Writes one length-prefixed frame.
 ///
+/// Length and payload go out in one vectored write, so a peer blocked in
+/// [`read_frame`] wakes once per frame rather than once for the length
+/// and again for the payload.
+///
 /// # Errors
 ///
 /// [`ProtoError::FrameTooLarge`] or [`ProtoError::Io`].
@@ -350,8 +354,17 @@ pub fn write_frame(w: &mut dyn Write, payload: &[u8]) -> Result<(), ProtoError> 
     if payload.len() > MAX_FRAME {
         return Err(ProtoError::FrameTooLarge(payload.len()));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let len = (payload.len() as u32).to_le_bytes();
+    let mut bufs = [IoSlice::new(&len), IoSlice::new(payload)];
+    let mut rest = &mut bufs[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::WriteZero).into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     w.flush()?;
     Ok(())
 }
@@ -531,6 +544,41 @@ mod tests {
         let payload = read_frame(&mut reader).expect("frame");
         assert_eq!(Request::decode(&payload).expect("decode"), req);
         // Clean EOF after the frame is a typed Closed, not an Io error.
+        assert!(matches!(read_frame(&mut reader), Err(ProtoError::Closed)));
+    }
+
+    #[test]
+    fn frames_survive_short_and_interrupted_writes() {
+        /// Takes at most 3 bytes per call and fails every fourth call
+        /// with `Interrupted`.
+        struct Trickle {
+            wire: Vec<u8>,
+            calls: u32,
+        }
+        impl Write for Trickle {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.calls += 1;
+                if self.calls.is_multiple_of(4) {
+                    return Err(std::io::ErrorKind::Interrupted.into());
+                }
+                let n = buf.len().min(3);
+                self.wire.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let payload: Vec<u8> = (0..=40).collect();
+        let mut w = Trickle {
+            wire: Vec::new(),
+            calls: 0,
+        };
+        write_frame(&mut w, &payload).expect("write");
+        write_frame(&mut w, &[]).expect("write empty");
+        let mut reader: &[u8] = &w.wire;
+        assert_eq!(read_frame(&mut reader).expect("read"), payload);
+        assert_eq!(read_frame(&mut reader).expect("read empty"), b"");
         assert!(matches!(read_frame(&mut reader), Err(ProtoError::Closed)));
     }
 

@@ -1,7 +1,7 @@
 //! Blocking socket server over [`ScanService`].
 //!
-//! One acceptor loop (non-blocking accept + shutdown flag) and one
-//! thread per connection. Each connection speaks the framed protocol
+//! One acceptor loop (blocking accept with a short timeout + shutdown
+//! flag) and one thread per connection. Each connection speaks the framed protocol
 //! from [`crate::proto`], owns the sessions it opened — they are
 //! auto-closed when the peer disconnects, so a crashed client never
 //! leaks quota — and drains reports back to the client after every
@@ -9,21 +9,28 @@
 //! sid this connection did not open is answered with `UnknownSession`,
 //! so one tenant can never feed, drain or close another's stream.
 //!
-//! `SHUTDOWN` flips a shared flag: the acceptor stops, `run` returns,
+//! `SHUTDOWN` flips a shared flag: the acceptor stops within
+//! [`ACCEPT_WAIT`], `run` returns,
 //! and the hosting binary prints the final metrics snapshot. The
 //! container environment has no signal-handling crate, so the frame is
 //! the graceful-exit path a signal handler would normally provide;
 //! connections still open at shutdown are detached, not drained.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener};
-use std::os::unix::net::UnixListener;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsFd;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::proto::{error_code, read_frame, write_frame, DbRef, Request, Response};
 use crate::service::{ScanService, ServeError};
+
+/// Longest the acceptor blocks before it re-checks the shutdown flag. A
+/// connection is accepted the moment it arrives; this bounds only how
+/// long a flag set from outside waits to be seen.
+const ACCEPT_WAIT: Duration = Duration::from_millis(10);
 
 /// Transport the server listens on.
 pub enum Listener {
@@ -64,18 +71,32 @@ impl Listener {
         }
     }
 
-    fn set_nonblocking(&self, nb: bool) -> std::io::Result<()> {
+    /// Makes `accept` block, but for at most `wait`: Linux applies a
+    /// socket's receive timeout (`SO_RCVTIMEO`) to `accept`, which then
+    /// fails with `WouldBlock`. std sets that option only on streams, so
+    /// it is set through a stream over a duplicate of the listener's
+    /// descriptor (both name the same socket).
+    fn set_accept_timeout(&self, wait: Duration) -> std::io::Result<()> {
         match self {
-            Listener::Tcp(l) => l.set_nonblocking(nb),
-            Listener::Unix(l) => l.set_nonblocking(nb),
+            Listener::Tcp(l) => {
+                l.set_nonblocking(false)?;
+                TcpStream::from(l.as_fd().try_clone_to_owned()?).set_read_timeout(Some(wait))
+            }
+            Listener::Unix(l) => {
+                l.set_nonblocking(false)?;
+                UnixStream::from(l.as_fd().try_clone_to_owned()?).set_read_timeout(Some(wait))
+            }
         }
     }
 
+    /// Accepts one connection, or `None` when [`ACCEPT_WAIT`] passed
+    /// without one. The connection's own reads never time out (a TCP
+    /// socket inherits the listener's timeout, so it is cleared).
     fn accept(&self) -> std::io::Result<Option<Box<dyn Conn>>> {
         match self {
             Listener::Tcp(l) => match l.accept() {
                 Ok((s, _)) => {
-                    s.set_nonblocking(false)?;
+                    s.set_read_timeout(None)?;
                     s.set_nodelay(true)?;
                     Ok(Some(Box::new(s)))
                 }
@@ -84,7 +105,7 @@ impl Listener {
             },
             Listener::Unix(l) => match l.accept() {
                 Ok((s, _)) => {
-                    s.set_nonblocking(false)?;
+                    s.set_read_timeout(None)?;
                     Ok(Some(Box::new(s)))
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
@@ -122,7 +143,8 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Accepts and serves connections until the shutdown flag is set.
+    /// Accepts and serves connections until the shutdown flag is set
+    /// (seen within [`ACCEPT_WAIT`]).
     ///
     /// Accept failures (e.g. fd exhaustion under a connection flood)
     /// shed that one connection attempt — logged, brief pause, keep
@@ -132,7 +154,7 @@ impl Server {
     ///
     /// Propagates the initial listener setup failure only.
     pub fn run(self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
+        self.listener.set_accept_timeout(ACCEPT_WAIT)?;
         while !self.shutdown.load(Ordering::SeqCst) {
             match self.listener.accept() {
                 Ok(Some(conn)) => {
@@ -142,7 +164,7 @@ impl Server {
                     // abandoned, not drained (see the module docs).
                     std::thread::spawn(move || serve_connection(&svc, conn, &shutdown));
                 }
-                Ok(None) => std::thread::sleep(Duration::from_millis(2)),
+                Ok(None) => {}
                 Err(e) => {
                     eprintln!("azoo-serve: accept failed, shedding connection: {e}");
                     std::thread::sleep(Duration::from_millis(20));
