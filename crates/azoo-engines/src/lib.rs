@@ -11,10 +11,6 @@
 //! * [`LazyDfaEngine`] — an RE2/Hyperscan-style engine that determinizes
 //!   the automaton on the fly with a bounded state cache, giving
 //!   active-set-independent throughput on DFA-friendly workloads.
-//! * [`ShengEngine`] — a Sheng-style shuffle DFA for machines that
-//!   determinize to at most 16 states: the whole transition function of a
-//!   symbol class lives in one 16-byte vector and a step is a single
-//!   `pshufb` (with a scalar twin via [`azoo_simd`]).
 //! * [`BitParallelEngine`] — a dense multi-pattern Shift-And engine for
 //!   chain-shaped automata (e.g. Random Forest leaf chains), processing
 //!   64 states per machine word per symbol.
@@ -60,7 +56,6 @@ mod parallel;
 mod prefilter;
 mod profile;
 mod select;
-mod sheng;
 mod sink;
 mod stream;
 
@@ -69,17 +64,16 @@ pub use lazy_dfa::LazyDfaEngine;
 pub use literal::{AhoCorasick, LiteralHit};
 pub use nfa::NfaEngine;
 pub use parallel::ParallelScanner;
-pub use prefilter::{PrefilterEngine, PREFILTER_COVERAGE_GATE};
+pub use prefilter::PrefilterEngine;
 pub use profile::Profile;
 pub use select::{
     prefilter_gate, select_engine, select_session_engine, select_session_engine_explained,
     select_session_engine_threaded, EngineChoice,
 };
-pub use sheng::{ShengEngine, SHENG_MAX_NFA_STATES};
 pub use sink::{CollectSink, CountSink, NullSink, Report, ReportSink};
 pub use stream::StreamingEngine;
 
-use azoo_core::StateId;
+use azoo_core::{Automaton, StateId};
 
 /// A compiled automaton executor.
 ///
@@ -129,8 +123,8 @@ pub enum EngineError {
     /// [`BitParallelEngine`]): some state has more than one non-self
     /// successor or more than one non-self predecessor.
     NotChainShaped(StateId),
-    /// The automaton does not determinize within the 16-state shuffle-DFA
-    /// budget (required by [`ShengEngine`]).
+    /// Returned only by the `ShengEngine` stand-in, which no automaton
+    /// can build.
     TooManyDfaStates,
     /// The automaton failed core validation.
     Invalid(azoo_core::CoreError),
@@ -171,5 +165,37 @@ impl std::error::Error for EngineError {
 impl From<azoo_core::CoreError> for EngineError {
     fn from(e: azoo_core::CoreError) -> Self {
         EngineError::Invalid(e)
+    }
+}
+
+// Shim for the frozen azoo-perf/src/layers.rs; ROADMAP N1 deletes it.
+#[doc(hidden)]
+#[derive(Debug, Clone)]
+pub enum ShengEngine {}
+
+impl ShengEngine {
+    #[doc(hidden)]
+    pub fn new(_: &Automaton) -> Result<Self, EngineError> {
+        Err(EngineError::TooManyDfaStates)
+    }
+}
+
+impl Engine for ShengEngine {
+    fn scan(&mut self, _: &[u8], _: &mut dyn ReportSink) {
+        match *self {}
+    }
+
+    fn name(&self) -> &'static str {
+        match *self {}
+    }
+}
+
+impl StreamingEngine for ShengEngine {
+    fn reset_stream(&mut self) {
+        match *self {}
+    }
+
+    fn feed(&mut self, _: &[u8], _: bool, _: &mut dyn ReportSink) {
+        match *self {}
     }
 }

@@ -36,21 +36,18 @@ use azoo_passes::partition;
 use azoo_sync::{ranks, OrderedMutex};
 
 use crate::nfa::NfaEngine;
-use crate::prefilter::{PrefilterEngine, PREFILTER_COVERAGE_GATE};
-use crate::sheng::ShengEngine;
+use crate::prefilter::PrefilterEngine;
 use crate::sink::{Report, ReportSink};
 use crate::stream::StreamingEngine;
-use crate::{Engine, EngineError};
+use crate::{prefilter_gate, Engine, EngineError};
 
-/// A shard's executor: a shuffle DFA when the shard determinizes to at
-/// most 16 states, literal-gated windowed simulation when the shard's
-/// components carry required literals (opted in via
+/// A shard's executor: literal-gated windowed simulation when the
+/// shard's components carry required literals (opted in via
 /// [`ParallelScanner::with_prefilter`]), plain sparse simulation
 /// otherwise.
 #[derive(Debug, Clone)]
 enum ShardEngine {
     Nfa(Box<NfaEngine>),
-    Sheng(Box<ShengEngine>),
     Prefilter(Box<PrefilterEngine>),
 }
 
@@ -58,7 +55,6 @@ impl ShardEngine {
     fn scan(&mut self, input: &[u8], sink: &mut dyn ReportSink) {
         match self {
             ShardEngine::Nfa(e) => e.scan(input, sink),
-            ShardEngine::Sheng(e) => e.scan(input, sink),
             ShardEngine::Prefilter(e) => e.scan(input, sink),
         }
     }
@@ -66,7 +62,6 @@ impl ShardEngine {
     fn reset_stream(&mut self) {
         match self {
             ShardEngine::Nfa(e) => e.reset_stream(),
-            ShardEngine::Sheng(e) => e.reset_stream(),
             ShardEngine::Prefilter(e) => e.reset_stream(),
         }
     }
@@ -74,7 +69,6 @@ impl ShardEngine {
     fn feed(&mut self, chunk: &[u8], eod: bool, sink: &mut dyn ReportSink) {
         match self {
             ShardEngine::Nfa(e) => e.feed(chunk, eod, sink),
-            ShardEngine::Sheng(e) => e.feed(chunk, eod, sink),
             ShardEngine::Prefilter(e) => e.feed(chunk, eod, sink),
         }
     }
@@ -82,7 +76,6 @@ impl ShardEngine {
     fn stream_quiesced(&self) -> bool {
         match self {
             ShardEngine::Nfa(e) => e.stream_quiesced(),
-            ShardEngine::Sheng(e) => e.stream_quiesced(),
             ShardEngine::Prefilter(e) => e.stream_quiesced(),
         }
     }
@@ -161,11 +154,9 @@ impl ParallelScanner {
 
     /// Like [`new`](Self::new), but with `prefilter` true each shard
     /// whose components mostly carry required literals runs behind a
-    /// [`PrefilterEngine`] instead of a plain [`NfaEngine`] (admitted at
-    /// the flat [`PREFILTER_COVERAGE_GATE`], not the length- and
-    /// load-weighted [`prefilter_gate`](crate::prefilter_gate) that
-    /// [`select_engine`](crate::select_engine) applies). The merged
-    /// stream is unchanged either way.
+    /// [`PrefilterEngine`] instead of a plain [`NfaEngine`] (admitted by
+    /// [`prefilter_gate`], as in [`select_engine`](crate::select_engine)).
+    /// The merged stream is unchanged either way.
     ///
     /// # Errors
     ///
@@ -394,21 +385,14 @@ impl ParallelScanner {
     }
 }
 
-/// Shuffle-DFA gating first: a shard that determinizes to <= 16 states
-/// steps in one pshufb, beating both the prefilter and plain simulation.
 fn build_shard_engine(p: &Automaton, prefilter: bool) -> Result<ShardEngine, EngineError> {
-    Ok(if let Ok(sh) = ShengEngine::new(p) {
-        ShardEngine::Sheng(Box::new(sh))
-    } else if prefilter {
+    if prefilter {
         let pf = PrefilterEngine::new(p)?;
-        if pf.component_count() > 0 && pf.coverage() >= PREFILTER_COVERAGE_GATE {
-            ShardEngine::Prefilter(Box::new(pf))
-        } else {
-            ShardEngine::Nfa(Box::new(NfaEngine::new(p)?))
+        if pf.coverage() >= prefilter_gate(&pf) {
+            return Ok(ShardEngine::Prefilter(Box::new(pf)));
         }
-    } else {
-        ShardEngine::Nfa(Box::new(NfaEngine::new(p)?))
-    })
+    }
+    Ok(ShardEngine::Nfa(Box::new(NfaEngine::new(p)?)))
 }
 
 /// Per-thread job executor. Keeps one engine clone per shard so a worker
@@ -780,10 +764,9 @@ mod tests {
 
     #[test]
     fn prefiltered_shards_match_plain_shards() {
-        // Literal words plus one cyclic component: shards too big for the
-        // shuffle DFA run behind the prefilter (the two long words keep
-        // every packing above 16 DFA states), small shards may run as a
-        // shuffle DFA, and the merged stream is unchanged either way.
+        // Literal words plus one cyclic component: shards whose words
+        // carry most of their states run behind the prefilter, the rest
+        // on the plain NFA, and the merged stream is unchanged either way.
         let mut a = words(&[
             b"cat",
             b"dog",

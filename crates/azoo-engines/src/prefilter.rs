@@ -53,10 +53,6 @@ use crate::sink::{Report, ReportSink};
 use crate::stream::StreamingEngine;
 use crate::{Engine, EngineError};
 
-/// Minimum fraction of states the plan must cover for
-/// [`select_engine`](crate::select_engine) to prefer this engine.
-pub const PREFILTER_COVERAGE_GATE: f64 = 0.5;
-
 /// Widest compressed alphabet for which the fallback remainder is
 /// simulated with a lazy DFA instead of the NFA. Wildcard-heavy
 /// remainders (e.g. `??`-laden signatures) blow the subset construction
@@ -275,7 +271,6 @@ pub struct PrefilterEngine {
     runs: Vec<ComponentRun>,
     fallback: Option<FallbackSim>,
     coverage: f64,
-    min_literal_len: usize,
     /// `max(back) − 1`: how many trailing stream bytes a span can reach
     /// back past a chunk boundary.
     keep: usize,
@@ -303,9 +298,9 @@ impl PrefilterEngine {
     ///
     /// Construction succeeds for any valid automaton — with nothing
     /// prefilterable the engine degenerates to a plain [`NfaEngine`]
-    /// behind a never-matching trigger. Use [`coverage`](Self::coverage)
-    /// and [`component_count`](Self::component_count) to decide whether
-    /// that is worthwhile.
+    /// behind a never-matching trigger;
+    /// [`prefilter_gate`](crate::prefilter_gate) decides whether the
+    /// result is worthwhile.
     ///
     /// # Errors
     ///
@@ -378,7 +373,6 @@ impl PrefilterEngine {
             .unwrap_or(0)
             .saturating_sub(1);
         let n_comp = components.len();
-        let min_literal_len = patterns.iter().map(Vec::len).min().unwrap_or(0);
         Ok(PrefilterEngine {
             matcher: Trigger::build_with(&patterns, level),
             pat_comp,
@@ -386,7 +380,6 @@ impl PrefilterEngine {
             runs: vec![ComponentRun::default(); n_comp],
             fallback,
             coverage: plan.coverage(),
-            min_literal_len,
             keep,
             tail: Vec::new(),
             stream_offset: 0,
@@ -419,13 +412,6 @@ impl PrefilterEngine {
     /// nibble-mask prefilter) or `"aho-corasick"` (the scalar trigger).
     pub fn trigger_kind(&self) -> &'static str {
         self.matcher.kind()
-    }
-
-    /// Length of the shortest trigger literal, 0 with no literals. Short
-    /// minimums mean frequent trigger hits and wide relative windows —
-    /// the selection gate weighs this against coverage.
-    pub fn min_literal_len(&self) -> usize {
-        self.min_literal_len
     }
 
     /// Number of gated components whose matches are exactly their factor

@@ -8,21 +8,25 @@
 
 use azoo_core::{Automaton, ElementKind, Port};
 
-use crate::prefilter::PREFILTER_COVERAGE_GATE;
 use crate::{
     BitParallelEngine, Engine, EngineError, LazyDfaEngine, NfaEngine, ParallelScanner,
-    PrefilterEngine, SessionEngine, ShengEngine,
+    PrefilterEngine, SessionEngine,
 };
+
+/// Minimum fraction of states a prefilter plan must cover before
+/// [`prefilter_gate`] admits it.
+const PREFILTER_COVERAGE_GATE: f64 = 0.5;
 
 /// Which engine [`select_engine`] picked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[allow(clippy::manual_non_exhaustive)] // `Sheng` is a shim, not a marker
 pub enum EngineChoice {
     /// The dense bit-parallel Shift-And engine.
     BitParallel,
     /// The lazy-DFA engine.
     LazyDfa,
-    /// The Sheng-style shuffle-DFA engine (machines determinizing to at
-    /// most 16 states; one `pshufb` per symbol).
+    // Shim for the frozen azoo-perf/src/layers.rs; ROADMAP N1 deletes it.
+    #[doc(hidden)]
     Sheng,
     /// The literal-prefilter engine (windowed simulation gated behind an
     /// Aho–Corasick trigger, with NFA fallback for rejected components).
@@ -61,13 +65,9 @@ fn preflight(a: &Automaton) -> Result<(), EngineError> {
 ///    advance; best for literal sets, RF chains, CRISPR filters) —
 ///    chosen only while the state vector stays cache-resident;
 /// 2. counter-free automata of bounded size that are not layered
-///    edit-distance meshes → the DFA tier:
-///    [`ShengEngine`] when the machine determinizes to at most 16
-///    states (single-`pshufb` stepping), [`LazyDfaEngine`] otherwise;
+///    edit-distance meshes → [`LazyDfaEngine`];
 /// 3. automata whose components mostly carry required literals →
-///    [`PrefilterEngine`] (admitted by [`prefilter_gate`], the
-///    [`PREFILTER_COVERAGE_GATE`](crate::PREFILTER_COVERAGE_GATE)
-///    weighted by literal length and trigger bucket load);
+///    [`PrefilterEngine`] (admitted by [`prefilter_gate`]);
 /// 4. everything else (counters, huge NFAs) → [`NfaEngine`].
 ///
 /// # Errors
@@ -136,38 +136,17 @@ fn fuzzy_layered_shape(a: &Automaton) -> Option<usize> {
     (seen == a.state_count()).then_some(wide)
 }
 
-/// The prefilter tier's admission gate for `pf`, as an effective
-/// coverage threshold.
-///
-/// A flat coverage cut treats every literal set alike, which mis-ranks
-/// the edges (the paper's Brill near-parity row): what the gated slice
-/// actually costs depends on how often the trigger fires and how
-/// expensive each candidate is to confirm. The gate therefore weighs
-/// the raw [`PREFILTER_COVERAGE_GATE`] by literal length and trigger
-/// bucket load:
-///
-/// * **Literal length** — each byte past the
-///   [`MIN_STRONG_LITERAL`](azoo_passes::MIN_STRONG_LITERAL) floor cuts
-///   expected trigger traffic ~256×, so longer minimum literals admit a
-///   thinner gated slice (`gate × floor/min_len`).
-/// * **Bucket load** — a set within the Teddy trigger's capacity
-///   ([`TEDDY_MAX_PATTERNS`](azoo_simd::TEDDY_MAX_PATTERNS)) confirms
-///   candidates at vector speed, lowering the bar a step further; a set
-///   overflowing eight times that capacity saturates the Aho–Corasick
-///   trigger's buckets and raises it back up.
+/// The prefilter tier's admission gate for `pf`, as a coverage
+/// threshold: half the states when `pf` gates at least one component,
+/// otherwise infinity, which no coverage reaches. The single-threaded
+/// portfolio and [`ParallelScanner::with_prefilter`]'s shards both admit
+/// on `pf.coverage() >= prefilter_gate(&pf)`.
 pub fn prefilter_gate(pf: &PrefilterEngine) -> f64 {
-    let mut gate = PREFILTER_COVERAGE_GATE;
-    let floor = azoo_passes::MIN_STRONG_LITERAL as f64;
-    let min_len = pf.min_literal_len() as f64;
-    if min_len > 0.0 {
-        gate *= (floor / min_len).min(1.0);
+    if pf.component_count() > 0 {
+        PREFILTER_COVERAGE_GATE
+    } else {
+        f64::INFINITY
     }
-    if pf.trigger_kind() == "teddy" {
-        gate *= 0.8;
-    } else if pf.literal_count() > 8 * azoo_simd::TEDDY_MAX_PATTERNS {
-        gate *= 1.2;
-    }
-    gate.min(0.95)
 }
 
 /// Streaming-capable variant of [`select_engine`]: the same portfolio
@@ -218,16 +197,6 @@ pub fn select_session_engine_explained(
     // do not and end on the sparse NFA.
     let mesh = fuzzy_layered_shape(a);
     if a.counter_count() == 0 && a.state_count() <= 200_000 && mesh.is_none() {
-        // Within the DFA tier the shuffle DFA wins whenever it applies:
-        // a machine that fits 16 DFA states steps in one pshufb with no
-        // cache probes, so the lazy DFA only takes the remainder.
-        if let Ok(engine) = ShengEngine::new(a) {
-            let reason = format!(
-                "counter-free, determinizes to {} states (within the 16-state shuffle-DFA budget)",
-                engine.state_count()
-            );
-            return Ok((EngineChoice::Sheng, reason, Box::new(engine)));
-        }
         if let Ok(engine) = LazyDfaEngine::new(a) {
             let reason = format!(
                 "counter-free, {} NFA states: lazy subset construction",
@@ -237,18 +206,15 @@ pub fn select_session_engine_explained(
         }
     }
     // Prefilter: worthwhile only when required literals gate most of the
-    // state space at an acceptable trigger cost (see [`prefilter_gate`]);
-    // otherwise the fallback remainder dominates and plain sparse
-    // simulation is simpler.
+    // state space (see [`prefilter_gate`]); otherwise the fallback
+    // remainder dominates and plain sparse simulation is simpler.
     let engine = PrefilterEngine::new(a)?;
     let gate = prefilter_gate(&engine);
-    if engine.component_count() > 0 && engine.coverage() >= gate {
+    if engine.coverage() >= gate {
         let reason = format!(
-            "literal coverage {:.2} >= weighted gate {:.2} ({} literals, min len {}, {} trigger)",
+            "literal coverage {:.2} >= gate {gate:.2} ({} literals, {} trigger)",
             engine.coverage(),
-            gate,
             engine.literal_count(),
-            engine.min_literal_len(),
             engine.trigger_kind()
         );
         return Ok((EngineChoice::Prefilter, reason, Box::new(engine)));
@@ -257,11 +223,9 @@ pub fn select_session_engine_explained(
         "no prefilterable literals: sparse NFA simulation".to_string()
     } else {
         format!(
-            "literal coverage {:.2} below weighted gate {:.2} ({} literals, min len {}): sparse NFA simulation",
+            "literal coverage {:.2} below gate {gate:.2} ({} literals): sparse NFA simulation",
             engine.coverage(),
-            gate,
-            engine.literal_count(),
-            engine.min_literal_len()
+            engine.literal_count()
         )
     };
     let reason = match mesh {
@@ -319,9 +283,9 @@ mod tests {
     }
 
     #[test]
-    fn small_fanout_gets_sheng() {
+    fn small_fanout_gets_lazy_dfa() {
         // Not chain-shaped, counter-free, determinizes to a handful of
-        // states: the shuffle DFA takes it.
+        // states: the DFA tier takes it, however small.
         let mut a = Automaton::new();
         let s = a.add_ste(SymbolClass::from_byte(b'a'), StartKind::AllInput);
         let t1 = a.add_ste(SymbolClass::from_byte(b'b'), StartKind::None);
@@ -331,28 +295,10 @@ mod tests {
         a.set_report(t1, 0);
         a.set_report(t2, 1);
         let (choice, mut engine) = select_engine(&a).unwrap();
-        assert_eq!(choice, EngineChoice::Sheng);
+        assert_eq!(choice, EngineChoice::LazyDfa);
         let mut sink = CollectSink::new();
         engine.scan(b"ab.ac.a", &mut sink);
         assert_eq!(sink.reports().len(), 2);
-    }
-
-    #[test]
-    fn fanout_gets_lazy_dfa() {
-        // Same fan-out shape plus a 20-deep tail: more than 16 DFA
-        // states, so the DFA tier falls through to the lazy DFA.
-        let mut a = Automaton::new();
-        let s = a.add_ste(SymbolClass::from_byte(b'a'), StartKind::AllInput);
-        let t1 = a.add_ste(SymbolClass::from_byte(b'b'), StartKind::None);
-        let t2 = a.add_ste(SymbolClass::from_byte(b'c'), StartKind::None);
-        a.add_edge(s, t1);
-        a.add_edge(s, t2);
-        a.set_report(t1, 0);
-        a.set_report(t2, 1);
-        let (_, last) = a.add_chain(&[SymbolClass::from_byte(b'x'); 20], StartKind::AllInput);
-        a.set_report(last, 2);
-        let (choice, _) = select_engine(&a).unwrap();
-        assert_eq!(choice, EngineChoice::LazyDfa);
     }
 
     #[test]
@@ -397,54 +343,61 @@ mod tests {
         assert_eq!(sink.reports().len(), 2);
     }
 
-    #[test]
-    fn explained_selection_reports_the_gate_math() {
-        // The Brill shape in miniature: literals exist but gate a small
-        // minority of the states, so the weighted gate rejects the
-        // prefilter and the reason says why.
+    /// `words` as literal chains plus `guards` counter-guarded
+    /// components: the counters keep the DFA tier out of the race, and
+    /// each guard adds two ungated states that dilute the coverage.
+    fn literals_among_counters(words: &[&[u8]], guards: u32) -> Automaton {
         let mut a = Automaton::new();
-        let (_, last) = a.add_chain(
-            &b"word"
-                .iter()
-                .map(|&b| SymbolClass::from_byte(b))
-                .collect::<Vec<_>>(),
-            StartKind::AllInput,
-        );
-        a.set_report(last, 0);
-        // A large counter-guarded remainder (counters keep the DFA tier
-        // out of the race) drowns the coverage.
-        for i in 0..60u32 {
+        for (code, word) in (0u32..).zip(words) {
+            let classes: Vec<SymbolClass> =
+                word.iter().map(|&b| SymbolClass::from_byte(b)).collect();
+            let (_, last) = a.add_chain(&classes, StartKind::AllInput);
+            a.set_report(last, code);
+        }
+        for i in 0..guards {
             let s = a.add_ste(SymbolClass::from_byte(b'a'), StartKind::AllInput);
             let c = a.add_counter(2 + i, CounterMode::Latch);
             a.add_edge(s, c);
-            a.set_report(c, 1 + i);
+            a.set_report(c, 100 + i);
         }
-        let pf = PrefilterEngine::new(&a).unwrap();
-        assert!(pf.coverage() < prefilter_gate(&pf));
-        let (choice, reason, _) = select_session_engine_explained(&a).unwrap();
-        assert_eq!(choice, EngineChoice::Nfa);
-        assert!(
-            reason.contains("below weighted gate"),
-            "reason should explain the rejection: {reason}"
-        );
+        a
     }
 
     #[test]
-    fn weighted_gate_drops_with_literal_strength() {
-        // Longer minimum literals admit a thinner gated slice.
-        fn suite(len: usize) -> Automaton {
-            let mut a = Automaton::new();
-            let word: Vec<SymbolClass> = (0..len)
-                .map(|i| SymbolClass::from_byte(b'a' + (i % 3) as u8))
-                .collect();
-            let (_, last) = a.add_chain(&word, StartKind::AllInput);
-            a.set_report(last, 0);
-            a
+    fn explained_selection_reports_the_gate_math() {
+        // The Brill shape in miniature: literals exist but gate a minority
+        // of the states, so the gate rejects the prefilter and the reason
+        // says why. Long literals buy no discount: two 20-byte words
+        // gating under a third of the states are rejected the same way.
+        let long: [&[u8]; 2] = [b"internationalization", b"electroencephalogram"];
+        for (words, guards) in [(&[&b"word"[..]][..], 60), (&long[..], 45)] {
+            let a = literals_among_counters(words, guards);
+            let pf = PrefilterEngine::new(&a).unwrap();
+            assert_eq!(prefilter_gate(&pf), PREFILTER_COVERAGE_GATE);
+            assert!(pf.coverage() < PREFILTER_COVERAGE_GATE);
+            let (choice, reason, _) = select_session_engine_explained(&a).unwrap();
+            assert_eq!(choice, EngineChoice::Nfa, "{reason}");
+            assert!(
+                reason.contains("below gate 0.50"),
+                "reason should explain the rejection: {reason}"
+            );
         }
-        let short = PrefilterEngine::new(&suite(4)).unwrap();
-        let long = PrefilterEngine::new(&suite(8)).unwrap();
-        assert!(prefilter_gate(&long) < prefilter_gate(&short));
-        assert!(prefilter_gate(&short) <= PREFILTER_COVERAGE_GATE);
+    }
+
+    #[test]
+    fn dropped_states_alone_never_pass_the_gate() {
+        // Never-reporting components count toward coverage, but with no
+        // gated component the prefilter has nothing to trigger on, so
+        // the gate is out of reach.
+        let mut a = literals_among_counters(&[], 1);
+        for _ in 0..8 {
+            a.add_ste(SymbolClass::from_byte(b'z'), StartKind::AllInput);
+        }
+        let pf = PrefilterEngine::new(&a).unwrap();
+        assert_eq!(pf.component_count(), 0);
+        assert!(pf.coverage() >= PREFILTER_COVERAGE_GATE);
+        let (choice, reason, _) = select_session_engine_explained(&a).unwrap();
+        assert_eq!(choice, EngineChoice::Nfa, "{reason}");
     }
 
     #[test]

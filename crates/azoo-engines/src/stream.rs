@@ -124,12 +124,6 @@ mod tests {
                 chunked(&mut BitParallelEngine::new(&a).unwrap(), input, cut),
                 "bitpar cut {cut}"
             );
-            let mut sheng = crate::ShengEngine::new(&a).unwrap();
-            assert_eq!(
-                whole(&mut sheng, input),
-                chunked(&mut crate::ShengEngine::new(&a).unwrap(), input, cut),
-                "sheng cut {cut}"
-            );
         }
     }
 
@@ -179,7 +173,6 @@ mod tests {
 
         check(NfaEngine::new(&a).unwrap(), input);
         check(LazyDfaEngine::new(&a).unwrap(), input);
-        check(crate::ShengEngine::new(&a).unwrap(), input);
         check(PrefilterEngine::new(&a).unwrap(), input);
         check(ParallelScanner::new(&a, 2).unwrap(), input);
         // Bit-parallel needs a chain shape; counters need the NFA.

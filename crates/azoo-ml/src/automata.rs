@@ -60,7 +60,7 @@ impl ForestAutomaton {
     /// # Panics
     ///
     /// Panics if the forest has more than 20 trees, or if a tree uses
-    /// more than [`MAX_BIN`] thresholds on a single feature (neither
+    /// more than `MAX_BIN` thresholds on a single feature (neither
     /// occurs for the paper's hyperparameters).
     pub fn build(forest: &Forest) -> ForestAutomaton {
         let trees = forest.trees();
@@ -140,7 +140,7 @@ impl ForestAutomaton {
         out
     }
 
-    /// Turns a report stream from scanning an [`encode_batch`] stream into
+    /// Turns a report stream from scanning an [`encode_batch`](Self::encode_batch) stream into
     /// per-sample predictions. `reports` are `(offset, class)` pairs.
     ///
     /// Every classification produces exactly one report per tree (leaf

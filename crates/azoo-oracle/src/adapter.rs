@@ -11,8 +11,8 @@
 
 use azoo_core::Automaton;
 use azoo_engines::{
-    BitParallelEngine, CollectSink, Engine, EngineError, LazyDfaEngine, NfaEngine, ParallelScanner,
-    PrefilterEngine, ShengEngine, StreamingEngine,
+    BitParallelEngine, CollectSink, EngineError, LazyDfaEngine, NfaEngine, ParallelScanner,
+    PrefilterEngine, SessionEngine,
 };
 
 /// One normalized report: `(offset, code)`.
@@ -38,12 +38,9 @@ pub enum EngineKind {
     /// has SIMD, Aho–Corasick otherwise).
     Prefilter,
     /// Literal-prefilter engine with the trigger pinned to the scalar
-    /// Aho–Corasick matcher. Divergence between this and [`Prefilter`]
-    /// is exactly a Teddy trigger bug.
+    /// Aho–Corasick matcher. Divergence between this and
+    /// [`Prefilter`](EngineKind::Prefilter) is exactly a Teddy trigger bug.
     PrefilterScalarTrigger,
-    /// Sheng-style shuffle DFA (machines determinizing to at most 16
-    /// states).
-    Sheng,
     /// Multi-threaded component/chunk scanner.
     Parallel {
         /// Worker thread count.
@@ -68,7 +65,6 @@ impl EngineKind {
             EngineKind::BitPar,
             EngineKind::Prefilter,
             EngineKind::PrefilterScalarTrigger,
-            EngineKind::Sheng,
             EngineKind::Parallel {
                 threads: 2,
                 prefilter: false,
@@ -101,7 +97,6 @@ impl EngineKind {
             EngineKind::BitPar => "bitpar".into(),
             EngineKind::Prefilter => "prefilter".into(),
             EngineKind::PrefilterScalarTrigger => "prefilter-scalar".into(),
-            EngineKind::Sheng => "sheng".into(),
             EngineKind::Parallel {
                 threads,
                 prefilter: false,
@@ -134,7 +129,6 @@ impl EngineKind {
             "bitpar" if arg.is_none() => Some(EngineKind::BitPar),
             "prefilter" if arg.is_none() => Some(EngineKind::Prefilter),
             "prefilter-scalar" if arg.is_none() => Some(EngineKind::PrefilterScalarTrigger),
-            "sheng" if arg.is_none() => Some(EngineKind::Sheng),
             // `parallel:0` is rejected here rather than surfacing the
             // engine's InvalidThreads later: the oracle treats build
             // errors as "engine inapplicable", which would silently
@@ -161,19 +155,10 @@ impl EngineKind {
     }
 }
 
-enum Inner {
-    Nfa(Box<NfaEngine>),
-    LazyDfa(Box<LazyDfaEngine>),
-    BitPar(BitParallelEngine),
-    Prefilter(PrefilterEngine),
-    Sheng(ShengEngine),
-    Parallel(ParallelScanner),
-}
-
 /// An engine instance behind the uniform oracle interface.
 pub struct EngineUnderTest {
     kind: EngineKind,
-    inner: Inner,
+    engine: Box<dyn SessionEngine>,
 }
 
 impl EngineUnderTest {
@@ -184,33 +169,31 @@ impl EngineUnderTest {
     /// the automaton itself is invalid — which the oracle treats as a
     /// generator bug, not an engine bug.
     pub fn build(kind: EngineKind, a: &Automaton) -> Result<Option<Self>, EngineError> {
+        fn boxed<E: SessionEngine + 'static>(e: E) -> Box<dyn SessionEngine> {
+            Box::new(e)
+        }
         let built = match kind {
-            EngineKind::NfaSkip => NfaEngine::new(a).map(|e| Inner::Nfa(Box::new(e))),
+            EngineKind::NfaSkip => NfaEngine::new(a).map(boxed),
             EngineKind::NfaNoSkip => NfaEngine::new(a).map(|mut e| {
                 e.set_quiescent_skip(false);
-                Inner::Nfa(Box::new(e))
+                boxed(e)
             }),
-            EngineKind::LazyDfa { max_states: 0 } => {
-                LazyDfaEngine::new(a).map(|e| Inner::LazyDfa(Box::new(e)))
-            }
+            EngineKind::LazyDfa { max_states: 0 } => LazyDfaEngine::new(a).map(boxed),
             EngineKind::LazyDfa { max_states } => {
-                LazyDfaEngine::with_max_states(a, max_states).map(|e| Inner::LazyDfa(Box::new(e)))
+                LazyDfaEngine::with_max_states(a, max_states).map(boxed)
             }
-            EngineKind::BitPar => BitParallelEngine::new(a).map(Inner::BitPar),
-            EngineKind::Prefilter => PrefilterEngine::new(a).map(Inner::Prefilter),
+            EngineKind::BitPar => BitParallelEngine::new(a).map(boxed),
+            EngineKind::Prefilter => PrefilterEngine::new(a).map(boxed),
             EngineKind::PrefilterScalarTrigger => {
-                PrefilterEngine::with_scalar_trigger(a).map(Inner::Prefilter)
+                PrefilterEngine::with_scalar_trigger(a).map(boxed)
             }
-            EngineKind::Sheng => ShengEngine::new(a).map(Inner::Sheng),
             EngineKind::Parallel { threads, prefilter } => {
-                ParallelScanner::with_prefilter(a, threads, prefilter).map(Inner::Parallel)
+                ParallelScanner::with_prefilter(a, threads, prefilter).map(boxed)
             }
         };
         match built {
-            Ok(inner) => Ok(Some(EngineUnderTest { kind, inner })),
-            Err(EngineError::CountersUnsupported(_))
-            | Err(EngineError::NotChainShaped(_))
-            | Err(EngineError::TooManyDfaStates) => Ok(None),
+            Ok(engine) => Ok(Some(EngineUnderTest { kind, engine })),
+            Err(EngineError::CountersUnsupported(_) | EngineError::NotChainShaped(_)) => Ok(None),
             Err(e) => Err(e),
         }
     }
@@ -220,32 +203,10 @@ impl EngineUnderTest {
         self.kind
     }
 
-    fn as_engine(&mut self) -> &mut dyn Engine {
-        match &mut self.inner {
-            Inner::Nfa(e) => &mut **e,
-            Inner::LazyDfa(e) => &mut **e,
-            Inner::BitPar(e) => e,
-            Inner::Prefilter(e) => e,
-            Inner::Sheng(e) => e,
-            Inner::Parallel(e) => e,
-        }
-    }
-
-    fn as_streaming(&mut self) -> &mut dyn StreamingEngine {
-        match &mut self.inner {
-            Inner::Nfa(e) => &mut **e,
-            Inner::LazyDfa(e) => &mut **e,
-            Inner::BitPar(e) => e,
-            Inner::Prefilter(e) => e,
-            Inner::Sheng(e) => e,
-            Inner::Parallel(e) => e,
-        }
-    }
-
     /// One whole-input scan; sorted, non-deduplicated reports.
     pub fn run_block(&mut self, input: &[u8]) -> Vec<Rep> {
         let mut sink = CollectSink::new();
-        self.as_engine().scan(input, &mut sink);
+        self.engine.scan(input, &mut sink);
         normalize(sink)
     }
 
@@ -255,12 +216,11 @@ impl EngineUnderTest {
     pub fn run_chunks(&mut self, input: &[u8], plan: &[usize]) -> Vec<Rep> {
         debug_assert_eq!(plan.iter().sum::<usize>(), input.len());
         let mut sink = CollectSink::new();
-        let eng = self.as_streaming();
-        eng.reset_stream();
+        self.engine.reset_stream();
         let mut off = 0;
         for (i, &len) in plan.iter().enumerate() {
             let eod = i + 1 == plan.len();
-            eng.feed(&input[off..off + len], eod, &mut sink);
+            self.engine.feed(&input[off..off + len], eod, &mut sink);
             off += len;
         }
         normalize(sink)

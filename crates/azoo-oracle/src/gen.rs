@@ -157,7 +157,7 @@ const FUZZY_PROFILES: [EditProfile; 4] = [
     },
 ];
 
-/// Generates a small fuzzy automaton: one or two patterns over [`POOL`],
+/// Generates a small fuzzy automaton: one or two patterns over `POOL`,
 /// each compiled at a random edit budget `k <= 3` (always below the
 /// pattern length) under a random edit-cost profile. Returns the
 /// patterns alongside so [`gen_fuzzy_input`] can plant near misses.
@@ -191,7 +191,7 @@ pub fn gen_fuzzy_automaton(rng: &mut OracleRng, _cfg: &GenConfig) -> (Automaton,
     (a, patterns)
 }
 
-/// Generates an input for a fuzzy automaton: [`POOL`] noise with, per
+/// Generates an input for a fuzzy automaton: `POOL` noise with, per
 /// pattern, an occasional spliced-in copy carrying zero to two random
 /// edits — near misses that straddle the machine's edit budget.
 pub fn gen_fuzzy_input(rng: &mut OracleRng, cfg: &GenConfig, patterns: &[Vec<u8>]) -> Vec<u8> {

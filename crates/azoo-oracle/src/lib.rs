@@ -17,7 +17,7 @@
 //!   modes, against the reference NFA (quiescent skip disabled), and
 //!   re-checks the reference across each semantics-preserving pass
 //!   under its [`InputMap`](azoo_passes::InputMap);
-//! * [`shrink`] reduces any divergence to a minimal reproducer;
+//! * [`shrink`](mod@shrink) reduces any divergence to a minimal reproducer;
 //! * [`bugbank`] serializes reproducers as replayable MNRL + input +
 //!   expected-report triples;
 //! * [`mutate`] self-checks the oracle by planting ten deliberate bugs

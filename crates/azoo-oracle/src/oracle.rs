@@ -7,7 +7,7 @@
 //! streams from every applicable engine in every mode — block and
 //! streaming under each plan — and from the reference re-run across
 //! every semantics-preserving pass under that pass's
-//! [`InputMap`](azoo_passes::InputMap). The first disagreement becomes
+//! [`InputMap`]. The first disagreement becomes
 //! a [`Divergence`], which carries everything needed to replay it.
 
 use azoo_core::Automaton;

@@ -31,7 +31,7 @@
 //! the source machine with its Levenshtein mesh (`azoo_fuzzy::fuzzify`,
 //! under the protocol's pinned [`EditProfile::LEVENSHTEIN`] cost model)
 //! before any reduction, hashing or serialization. The artifact stores
-//! the *mesh*; the flags byte sets [`FLAG_FUZZY`] and carries the edit
+//! the *mesh*; the flags byte sets `FLAG_FUZZY` and carries the edit
 //! budget in bits 4-5, and a header whose fuzzy bit and edit field
 //! disagree (fuzzy with zero edits, or edits without the bit) is
 //! [`DbError::BadFlags`] — the same typed rejection as unknown bits.

@@ -10,7 +10,7 @@
 //! so one tenant can never feed, drain or close another's stream.
 //!
 //! `SHUTDOWN` flips a shared flag: the acceptor stops within
-//! [`ACCEPT_WAIT`], `run` returns,
+//! `ACCEPT_WAIT`, `run` returns,
 //! and the hosting binary prints the final metrics snapshot. The
 //! container environment has no signal-handling crate, so the frame is
 //! the graceful-exit path a signal handler would normally provide;
@@ -144,7 +144,7 @@ impl Server {
     }
 
     /// Accepts and serves connections until the shutdown flag is set
-    /// (seen within [`ACCEPT_WAIT`]).
+    /// (seen within `ACCEPT_WAIT`).
     ///
     /// Accept failures (e.g. fd exhaustion under a connection flood)
     /// shed that one connection attempt — logged, brief pause, keep

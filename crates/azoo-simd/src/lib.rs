@@ -1,19 +1,14 @@
 //! Vectorized scanning kernels with runtime CPU dispatch.
 //!
-//! The engine portfolio's inner loops — multi-literal triggering, wake-byte
-//! search, and small-DFA stepping — are memory-light and branch-light, which
-//! makes them the natural place to spend SIMD. This crate packages three such
-//! kernels:
+//! The engine portfolio's inner loops — multi-literal triggering and
+//! wake-byte search — are memory-light and branch-light, which makes them the
+//! natural place to spend SIMD. This crate packages two such kernels:
 //!
 //! * [`Teddy`] — a Teddy-style multi-literal prefilter: the first bytes of up
 //!   to 64 literals are packed into per-position nibble masks (≤ 8 buckets),
 //!   scanned 16 (SSSE3) or 32 (AVX2) bytes per step with `pshufb`, and
 //!   candidates are verified in place. Used as the trigger scanner of the
 //!   literal-prefilter engine.
-//! * [`ShengKernel`] — a Sheng-style shuffle DFA stepper for machines that
-//!   determinize to at most 16 states: the whole transition function of one
-//!   symbol class lives in a single 16-byte lane, and a step is one `pshufb`
-//!   with no memory-indexed dependency chain.
 //! * [`ByteFinder`] — the quiescent-skip wake-byte search: `memchr`-style
 //!   scans for 1–3 bytes, and a Truffle-style two-`pshufb` classifier for
 //!   arbitrary byte sets.
@@ -32,7 +27,7 @@
 //!
 //! The workspace forbids `unsafe` everywhere else; this crate alone relaxes
 //! that to `deny(unsafe_code)` with narrow `#[allow]`s inside the
-//! target-feature-gated intrinsic module ([`x86`]). The auditable surface is
+//! target-feature-gated intrinsic module (`x86`). The auditable surface is
 //! exactly: unaligned vector loads from in-bounds slices, and calls into
 //! `#[target_feature]` functions that were gated by a runtime feature check.
 //! Nothing else in the crate may use `unsafe`.
@@ -44,13 +39,11 @@
 
 pub mod byteset;
 pub mod scalar;
-pub mod sheng;
 pub mod teddy;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86;
 
 pub use byteset::ByteFinder;
-pub use sheng::ShengKernel;
 pub use teddy::{Teddy, TeddyMatch, TEDDY_MAX_PATTERNS};
 
 use std::sync::OnceLock;

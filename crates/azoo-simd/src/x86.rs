@@ -18,8 +18,8 @@
 //! tests assert byte-identical behaviour on both sides.
 #![allow(unsafe_code)]
 // Intrinsic idiom, not data-loss hazards: `u8 as i8` reinterpretation for
-// `set1`/`shuffle` lanes, sign-agnostic `movemask`/`cvtsi` extractions
-// masked to lane width, and `loadu`/`storeu` pointer casts that carry no
+// `set1`/`shuffle` lanes, sign-agnostic `movemask` extractions masked to
+// lane width, and `loadu`/`storeu` pointer casts that carry no
 // alignment requirement.
 #![allow(
     clippy::cast_possible_wrap,
@@ -33,9 +33,9 @@ use std::arch::x86_64::{
     __m128i, __m256i, _mm256_alignr_epi8, _mm256_and_si256, _mm256_cmpeq_epi8, _mm256_loadu_si256,
     _mm256_movemask_epi8, _mm256_permute2x128_si256, _mm256_set1_epi8, _mm256_set_m128i,
     _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_srli_epi16, _mm256_storeu_si256,
-    _mm_alignr_epi8, _mm_and_si128, _mm_cmpeq_epi8, _mm_cvtsi128_si32, _mm_loadu_si128,
-    _mm_movemask_epi8, _mm_or_si128, _mm_set1_epi8, _mm_setzero_si128, _mm_shuffle_epi8,
-    _mm_srli_epi16, _mm_storeu_si128, _mm_xor_si128,
+    _mm_alignr_epi8, _mm_and_si128, _mm_cmpeq_epi8, _mm_loadu_si128, _mm_movemask_epi8,
+    _mm_or_si128, _mm_set1_epi8, _mm_setzero_si128, _mm_shuffle_epi8, _mm_srli_epi16,
+    _mm_storeu_si128, _mm_xor_si128,
 };
 
 /// A 16-byte unaligned load from `hay[at..at + 16]`.
@@ -374,85 +374,4 @@ pub fn teddy_candidates_avx2(masks: &TeddyMasks, hay: &[u8], out: &mut Vec<(usiz
     assert!(is_x86_feature_detected!("avx2"), "teddy avx2 requires avx2");
     // SAFETY: avx2 support was just asserted.
     unsafe { teddy_avx2(masks, hay, out) }
-}
-
-// ---------------------------------------------------------------------------
-// Sheng DFA stepping
-// ---------------------------------------------------------------------------
-
-#[target_feature(enable = "ssse3")]
-unsafe fn sheng_ssse3(
-    tables: &[[u8; 16]],
-    class_of: &[u8; 256],
-    state: u8,
-    hay: &[u8],
-    threshold: u8,
-    hits: &mut Vec<(usize, u8)>,
-) -> u8 {
-    // The state rides splatted across all 16 lanes: `pshufb(table, splat(s))`
-    // yields `splat(table[s])`, so one shuffle both steps the DFA and
-    // re-splats. The dependency chain is pure `pshufb` (1-cycle class);
-    // the per-symbol table loads depend only on the input byte and
-    // pipeline ahead of it.
-    let mut s = _mm_set1_epi8(state as i8);
-    let mut i = 0;
-    let n = hay.len();
-    while i + 4 <= n {
-        let t0 = m128_from(&tables[class_of[hay[i] as usize] as usize]);
-        let t1 = m128_from(&tables[class_of[hay[i + 1] as usize] as usize]);
-        let t2 = m128_from(&tables[class_of[hay[i + 2] as usize] as usize]);
-        let t3 = m128_from(&tables[class_of[hay[i + 3] as usize] as usize]);
-        s = _mm_shuffle_epi8(t0, s);
-        let s0 = (_mm_cvtsi128_si32(s) & 0xff) as u8;
-        s = _mm_shuffle_epi8(t1, s);
-        let s1 = (_mm_cvtsi128_si32(s) & 0xff) as u8;
-        s = _mm_shuffle_epi8(t2, s);
-        let s2 = (_mm_cvtsi128_si32(s) & 0xff) as u8;
-        s = _mm_shuffle_epi8(t3, s);
-        let s3 = (_mm_cvtsi128_si32(s) & 0xff) as u8;
-        if s0 >= threshold || s1 >= threshold || s2 >= threshold || s3 >= threshold {
-            if s0 >= threshold {
-                hits.push((i, s0));
-            }
-            if s1 >= threshold {
-                hits.push((i + 1, s1));
-            }
-            if s2 >= threshold {
-                hits.push((i + 2, s2));
-            }
-            if s3 >= threshold {
-                hits.push((i + 3, s3));
-            }
-        }
-        i += 4;
-    }
-    let mut cur = (_mm_cvtsi128_si32(s) & 0xff) as u8;
-    while i < n {
-        cur = tables[class_of[hay[i] as usize] as usize][cur as usize];
-        if cur >= threshold {
-            hits.push((i, cur));
-        }
-        i += 1;
-    }
-    cur
-}
-
-/// SSSE3 Sheng scan: steps the ≤16-state DFA across `hay`, pushing
-/// `(index, state)` for every position whose *post-step* state is at or
-/// above `threshold`, and returns the final state.
-///
-/// # Panics
-///
-/// Panics if the host lacks SSSE3; gate on [`crate::supported`].
-pub fn sheng_scan_ssse3(
-    tables: &[[u8; 16]],
-    class_of: &[u8; 256],
-    state: u8,
-    hay: &[u8],
-    threshold: u8,
-    hits: &mut Vec<(usize, u8)>,
-) -> u8 {
-    assert!(is_x86_feature_detected!("ssse3"), "sheng requires ssse3");
-    // SAFETY: ssse3 support was just asserted.
-    unsafe { sheng_ssse3(tables, class_of, state, hay, threshold, hits) }
 }

@@ -61,18 +61,11 @@ fn thousand_seed_fuzzy_engine_campaign_is_divergence_free() {
 fn fuzzy_campaign_matrix_covers_all_engine_configs() {
     let engines = EngineKind::default_set();
     assert!(
-        engines.len() >= 14,
+        engines.len() >= 13,
         "engine matrix shrank to {} configs",
         engines.len()
     );
-    for label in [
-        "nfa",
-        "nfa-noskip",
-        "lazydfa",
-        "bitpar",
-        "prefilter",
-        "sheng",
-    ] {
+    for label in ["nfa", "nfa-noskip", "lazydfa", "bitpar", "prefilter"] {
         assert!(
             engines
                 .iter()

@@ -4,16 +4,16 @@
 //! `*_with` entry points (pinning both sides of each comparison — the
 //! ambient [`level`](automatazoo::simd::level) is cached per process, so
 //! the `AZOO_FORCE_SCALAR=1` path is exercised by a dedicated CI job
-//! running this whole suite forced scalar); the engines built on them
-//! (Sheng shuffle DFA, Teddy-triggered prefilter) are compared against
-//! the baseline NFA on random automata and on every benchmark in the
-//! suite, in block mode and across streaming chunk boundaries.
+//! running this whole suite forced scalar); the engine built on them
+//! (the Teddy-triggered prefilter) is compared against the baseline NFA
+//! on random automata and on every benchmark in the suite, in block mode
+//! and across streaming chunk boundaries.
 
 use automatazoo::core::{Automaton, StartKind, StateId, SymbolClass};
 use automatazoo::engines::{
-    CollectSink, Engine, NfaEngine, PrefilterEngine, Report, ShengEngine, StreamingEngine,
+    CollectSink, Engine, NfaEngine, PrefilterEngine, Report, StreamingEngine,
 };
-use automatazoo::simd::{supported, ByteFinder, ShengKernel, SimdLevel, Teddy, TeddyMatch};
+use automatazoo::simd::{supported, ByteFinder, SimdLevel, Teddy, TeddyMatch};
 use automatazoo::zoo::{BenchmarkId, Scale};
 use proptest::prelude::*;
 
@@ -74,33 +74,6 @@ fn arb_hay() -> impl Strategy<Value = Vec<u8>> {
     )
 }
 
-/// Random ≤16-state DFA over a tiny byte alphabet mapped to ≤4 classes.
-fn arb_kernel() -> impl Strategy<Value = (ShengKernel, u8)> {
-    (
-        2..=16u8,
-        1..=4usize,
-        proptest::collection::vec(0..=255u8, 16 * 4),
-        proptest::collection::vec(0..4u8, 256),
-    )
-        .prop_map(|(n, classes, flat, class_raw)| {
-            let mut class_of = [0u8; 256];
-            for (b, &c) in class_raw.iter().enumerate() {
-                class_of[b] = c % classes as u8;
-            }
-            let tables: Vec<[u8; 16]> = (0..classes)
-                .map(|c| {
-                    let mut t = [0u8; 16];
-                    for (s, slot) in t.iter_mut().enumerate() {
-                        *slot = flat[c * 16 + s] % n;
-                    }
-                    t
-                })
-                .collect();
-            let kernel = ShengKernel::new(class_of, tables, n).expect("valid kernel");
-            (kernel, n)
-        })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -121,37 +94,6 @@ proptest! {
         }
     }
 
-    /// The Sheng kernel at every dispatch tier: identical hit streams and
-    /// final states, whole-buffer and chunked (state carried across).
-    #[test]
-    fn sheng_kernel_levels_agree(
-        (kernel, n) in arb_kernel(),
-        hay in arb_hay(),
-        threshold in 1..=16u8,
-        cut_frac in 0..=100usize,
-    ) {
-        let threshold = threshold.min(n);
-        let mut whole_scalar = Vec::new();
-        let end_scalar =
-            kernel.scan_with(SimdLevel::Scalar, 0, &hay, threshold, &mut whole_scalar);
-        for level in host_levels() {
-            let mut hits = Vec::new();
-            let end = kernel.scan_with(level, 0, &hay, threshold, &mut hits);
-            prop_assert_eq!(end, end_scalar, "final state diverged at {:?}", level);
-            prop_assert_eq!(&hits, &whole_scalar, "hits diverged at {:?}", level);
-
-            // Chunked: feed the same bytes in two pieces, carrying state.
-            let cut = hay.len() * cut_frac / 100;
-            let mut chunked = Vec::new();
-            let mid = kernel.scan_with(level, 0, &hay[..cut], threshold, &mut chunked);
-            let mut tail = Vec::new();
-            let end2 = kernel.scan_with(level, mid, &hay[cut..], threshold, &mut tail);
-            chunked.extend(tail.into_iter().map(|(i, s)| (i + cut, s)));
-            prop_assert_eq!(end2, end_scalar, "chunked final state at {:?}", level);
-            prop_assert_eq!(&chunked, &whole_scalar, "chunked hits at {:?}", level);
-        }
-    }
-
     /// The wake-byte finder at every dispatch tier vs `Iterator::position`.
     #[test]
     fn byte_finder_levels_match_position(
@@ -168,39 +110,6 @@ proptest! {
                 level
             );
         }
-    }
-
-    /// ShengEngine vs the baseline NFA on random literal machines, block
-    /// and split at a random cut.
-    #[test]
-    fn sheng_engine_matches_baseline(
-        words in proptest::collection::vec(
-            proptest::collection::vec(proptest::sample::select(vec![b'a', b'b']), 1..5),
-            1..4,
-        ),
-        input in arb_hay(),
-        cut_frac in 0..=100usize,
-    ) {
-        let mut a = Automaton::new();
-        for (code, w) in words.iter().enumerate() {
-            let classes: Vec<SymbolClass> =
-                w.iter().map(|&b| SymbolClass::from_byte(b)).collect();
-            let (_, last) = a.add_chain(&classes, StartKind::AllInput);
-            a.set_report(last, code as u32);
-        }
-        let Ok(mut sheng) = ShengEngine::new(&a) else {
-            // Word set determinizes past 16 states; out of scope.
-            return Ok(());
-        };
-        let reference = baseline_reports(&a, &input);
-        let mut sink = CollectSink::new();
-        sheng.scan(&input, &mut sink);
-        prop_assert_eq!(&reference, &sink.sorted_reports(), "sheng block diverged");
-
-        let cut = input.len() * cut_frac / 100;
-        let mut sink = CollectSink::new();
-        sheng.scan_chunks([&input[..cut], &input[cut..]], &mut sink);
-        prop_assert_eq!(&reference, &sink.sorted_reports(), "sheng chunked diverged");
     }
 
     /// The scalar-trigger prefilter (forced Aho–Corasick) and the ambient
@@ -267,33 +176,27 @@ fn arb_random_automaton() -> impl Strategy<Value = Automaton> {
 }
 
 /// The whole suite at tiny scale: on every benchmark, the SIMD-backed
-/// tiers (ambient prefilter, scalar-trigger prefilter, Sheng where it
-/// fits) match the baseline NFA in block mode and across uneven
-/// streaming chunks (1-byte and prime-sized cuts drift through every
-/// literal and seam carry).
+/// tiers (ambient prefilter, scalar-trigger prefilter) match the baseline
+/// NFA in block mode and across uneven streaming chunks (1-byte and
+/// prime-sized cuts drift through every literal and seam carry).
 #[test]
 fn all_benchmarks_match_baseline_on_simd_tiers() {
-    let mut sheng_applied = 0usize;
     for id in BenchmarkId::ALL {
         let bench = id.build(Scale::Tiny);
         let window = bench.input.len().min(4_000);
         let input = &bench.input[..window];
         let reference = baseline_reports(&bench.automaton, input);
 
-        let mut engines: Vec<(&str, Box<dyn automatazoo::engines::SessionEngine>)> = vec![
+        let engines: [(&str, PrefilterEngine); 2] = [
             (
                 "prefilter",
-                Box::new(PrefilterEngine::new(&bench.automaton).expect("valid")),
+                PrefilterEngine::new(&bench.automaton).expect("valid"),
             ),
             (
                 "prefilter-scalar",
-                Box::new(PrefilterEngine::with_scalar_trigger(&bench.automaton).expect("valid")),
+                PrefilterEngine::with_scalar_trigger(&bench.automaton).expect("valid"),
             ),
         ];
-        if let Ok(sheng) = ShengEngine::new(&bench.automaton) {
-            sheng_applied += 1;
-            engines.push(("sheng", Box::new(sheng)));
-        }
 
         // 1-byte feeds cost a full feed cycle per input symbol, so they
         // run over a shorter prefix; prime-sized chunks cover the whole
@@ -301,7 +204,7 @@ fn all_benchmarks_match_baseline_on_simd_tiers() {
         let tiny_window = &input[..input.len().min(600)];
         let tiny_reference = baseline_reports(&bench.automaton, tiny_window);
 
-        for (name, engine) in &mut engines {
+        for (name, mut engine) in engines {
             let mut sink = CollectSink::new();
             engine.scan(input, &mut sink);
             assert_eq!(
@@ -334,11 +237,4 @@ fn all_benchmarks_match_baseline_on_simd_tiers() {
             }
         }
     }
-    // The suite's machines are mostly far larger than 16 DFA states;
-    // make the Sheng leg visible if that ever stops being exercised at
-    // all, rather than silently testing nothing.
-    println!(
-        "sheng applied to {sheng_applied} of {} benchmarks",
-        BenchmarkId::ALL.len()
-    );
 }
