@@ -11,9 +11,6 @@
 //! * [`LazyDfaEngine`] — an RE2/Hyperscan-style engine that determinizes
 //!   the automaton on the fly with a bounded state cache, giving
 //!   active-set-independent throughput on DFA-friendly workloads.
-//! * [`BitParallelEngine`] — a dense multi-pattern Shift-And engine for
-//!   chain-shaped automata (e.g. Random Forest leaf chains), processing
-//!   64 states per machine word per symbol.
 //! * [`PrefilterEngine`] — a literal-prefilter engine: components whose
 //!   matches must contain a *required literal* are gated behind an
 //!   Aho–Corasick trigger and simulated only in a bounded window around
@@ -48,7 +45,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used)]
-mod bitpar;
 mod lazy_dfa;
 mod literal;
 mod nfa;
@@ -59,15 +55,13 @@ mod select;
 mod sink;
 mod stream;
 
-pub use bitpar::BitParallelEngine;
 pub use lazy_dfa::LazyDfaEngine;
-pub use literal::{AhoCorasick, LiteralHit};
 pub use nfa::NfaEngine;
 pub use parallel::ParallelScanner;
 pub use prefilter::PrefilterEngine;
 pub use profile::Profile;
 pub use select::{
-    prefilter_gate, select_engine, select_session_engine, select_session_engine_explained,
+    prefilter_gate, select_session_engine, select_session_engine_explained,
     select_session_engine_threaded, EngineChoice,
 };
 pub use sink::{CollectSink, CountSink, NullSink, Report, ReportSink};
@@ -119,13 +113,9 @@ where
 pub enum EngineError {
     /// The engine does not support counter elements.
     CountersUnsupported(StateId),
-    /// The automaton is not chain-shaped (required by
-    /// [`BitParallelEngine`]): some state has more than one non-self
-    /// successor or more than one non-self predecessor.
-    NotChainShaped(StateId),
-    /// Returned only by the `ShengEngine` stand-in, which no automaton
-    /// can build.
-    TooManyDfaStates,
+    // Returned only by the `RetiredEngine` stand-in below.
+    #[doc(hidden)]
+    RetiredTier,
     /// The automaton failed core validation.
     Invalid(azoo_core::CoreError),
     /// A zero worker-thread count was requested from
@@ -139,12 +129,7 @@ impl std::fmt::Display for EngineError {
             EngineError::CountersUnsupported(id) => {
                 write!(f, "engine does not support counter element {id:?}")
             }
-            EngineError::NotChainShaped(id) => {
-                write!(f, "state {id:?} breaks the chain shape")
-            }
-            EngineError::TooManyDfaStates => {
-                write!(f, "automaton exceeds the 16-state shuffle-DFA budget")
-            }
+            EngineError::RetiredTier => write!(f, "engine tier was removed"),
             EngineError::Invalid(e) => write!(f, "invalid automaton: {e}"),
             EngineError::InvalidThreads => {
                 write!(f, "thread count must be positive")
@@ -168,19 +153,24 @@ impl From<azoo_core::CoreError> for EngineError {
     }
 }
 
-// Shim for the frozen azoo-perf/src/layers.rs; ROADMAP N1 deletes it.
+// Stand-in for the deleted bit-parallel and Sheng tiers, which the frozen
+// azoo-perf/src/layers.rs still names; ROADMAP N1 deletes it.
 #[doc(hidden)]
 #[derive(Debug, Clone)]
-pub enum ShengEngine {}
+pub enum RetiredEngine {}
 
-impl ShengEngine {
-    #[doc(hidden)]
+#[doc(hidden)]
+pub type BitParallelEngine = RetiredEngine;
+#[doc(hidden)]
+pub type ShengEngine = RetiredEngine;
+
+impl RetiredEngine {
     pub fn new(_: &Automaton) -> Result<Self, EngineError> {
-        Err(EngineError::TooManyDfaStates)
+        Err(EngineError::RetiredTier)
     }
 }
 
-impl Engine for ShengEngine {
+impl Engine for RetiredEngine {
     fn scan(&mut self, _: &[u8], _: &mut dyn ReportSink) {
         match *self {}
     }
@@ -190,7 +180,7 @@ impl Engine for ShengEngine {
     }
 }
 
-impl StreamingEngine for ShengEngine {
+impl StreamingEngine for RetiredEngine {
     fn reset_stream(&mut self) {
         match *self {}
     }

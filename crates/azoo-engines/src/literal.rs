@@ -19,11 +19,11 @@ use std::sync::Arc;
 
 /// An occurrence of pattern `pattern` whose last byte is at `end`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LiteralHit {
+pub(crate) struct LiteralHit {
     /// Offset of the occurrence's final byte.
-    pub end: u64,
+    pub(crate) end: u64,
     /// Index of the matched pattern, as passed to [`AhoCorasick::new`].
-    pub pattern: u32,
+    pub(crate) pattern: u32,
 }
 
 /// The compiled automaton, shared by every clone of a matcher. Nodes are
@@ -73,18 +73,16 @@ impl Tables {
 /// The tables are immutable once built and reference-counted, so a clone
 /// shares them and carries only its own streaming node.
 #[derive(Debug, Clone)]
-pub struct AhoCorasick {
+pub(crate) struct AhoCorasick {
     tables: Arc<Tables>,
     /// Current node for streaming scans.
     state: u32,
-    /// Length of the longest pattern.
-    max_len: usize,
 }
 
 impl AhoCorasick {
     /// Builds the matcher. Empty patterns are ignored (they would match
     /// everywhere and carry no filtering power).
-    pub fn new<P: AsRef<[u8]>>(patterns: &[P]) -> AhoCorasick {
+    pub(crate) fn new<P: AsRef<[u8]>>(patterns: &[P]) -> AhoCorasick {
         // Trie construction, edges unsorted.
         let mut children: Vec<Vec<(u8, u32)>> = vec![Vec::new()];
         let mut outs: Vec<Vec<u32>> = vec![Vec::new()];
@@ -205,34 +203,23 @@ impl AhoCorasick {
                 out_pat,
             }),
             state: 0,
-            max_len: patterns.iter().map(|p| p.as_ref().len()).max().unwrap_or(0),
         }
     }
 
-    /// Length of the longest pattern.
-    pub fn max_pattern_len(&self) -> usize {
-        self.max_len
-    }
-
-    /// Number of trie nodes (root included).
-    pub fn node_count(&self) -> usize {
-        self.tables.fail.len()
-    }
-
     /// Rewinds the streaming state to the root.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.state = 0;
     }
 
     /// Whether the streaming state sits at the root (freshly reset).
-    pub fn is_at_root(&self) -> bool {
+    pub(crate) fn is_at_root(&self) -> bool {
         self.state == 0
     }
 
     /// Feeds one chunk; hit offsets are `base` plus the in-chunk index.
     /// Matcher state carries over to the next call, so literals spanning
     /// chunk boundaries are found.
-    pub fn feed(&mut self, chunk: &[u8], base: u64, hits: &mut Vec<LiteralHit>) {
+    pub(crate) fn feed(&mut self, chunk: &[u8], base: u64, hits: &mut Vec<LiteralHit>) {
         let t = &*self.tables;
         let mut node = self.state as usize;
         for (i, &b) in chunk.iter().enumerate() {
@@ -253,7 +240,8 @@ impl AhoCorasick {
     }
 
     /// One-shot scan of a whole input.
-    pub fn find_all(&mut self, hay: &[u8]) -> Vec<LiteralHit> {
+    #[cfg(test)]
+    fn find_all(&mut self, hay: &[u8]) -> Vec<LiteralHit> {
         self.reset();
         let mut hits = Vec::new();
         self.feed(hay, 0, &mut hits);
@@ -332,7 +320,6 @@ mod tests {
         let patterns: Vec<&[u8]> = vec![b"", b"x"];
         let mut ac = AhoCorasick::new(&patterns);
         assert_eq!(sorted(ac.find_all(b"axa")), vec![(1, 1)]);
-        assert_eq!(ac.max_pattern_len(), 1);
     }
 
     #[test]

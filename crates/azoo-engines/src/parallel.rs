@@ -155,7 +155,8 @@ impl ParallelScanner {
     /// Like [`new`](Self::new), but with `prefilter` true each shard
     /// whose components mostly carry required literals runs behind a
     /// [`PrefilterEngine`] instead of a plain [`NfaEngine`] (admitted by
-    /// [`prefilter_gate`], as in [`select_engine`](crate::select_engine)).
+    /// [`prefilter_gate`], as in
+    /// [`select_session_engine`](crate::select_session_engine)).
     /// The merged stream is unchanged either way.
     ///
     /// # Errors

@@ -1,31 +1,32 @@
 //! Automatic engine selection.
 //!
 //! Different benchmark shapes favour different engines (the core lesson
-//! of the paper's cross-engine experiments): chain automata run fastest
-//! bit-parallel, small-alphabet regex automata determinize well, and
-//! counters or explosive subset construction require the sparse NFA
-//! engine. [`select_engine`] encodes that portfolio policy.
+//! of the paper's cross-engine experiments): counter-free automata of
+//! bounded size determinize well, rule sets gated by required literals
+//! run behind the prefilter, and counters or explosive subset
+//! construction require the sparse NFA engine.
+//! [`select_session_engine`] encodes that portfolio policy.
 
 use azoo_core::{Automaton, ElementKind, Port};
 
 use crate::{
-    BitParallelEngine, Engine, EngineError, LazyDfaEngine, NfaEngine, ParallelScanner,
-    PrefilterEngine, SessionEngine,
+    EngineError, LazyDfaEngine, NfaEngine, ParallelScanner, PrefilterEngine, SessionEngine,
 };
 
 /// Minimum fraction of states a prefilter plan must cover before
 /// [`prefilter_gate`] admits it.
 const PREFILTER_COVERAGE_GATE: f64 = 0.5;
 
-/// Which engine [`select_engine`] picked.
+/// Which engine [`select_session_engine`] picked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(clippy::manual_non_exhaustive)] // `Sheng` is a shim, not a marker
+#[allow(clippy::manual_non_exhaustive)] // the hidden variants are shims, not markers
 pub enum EngineChoice {
-    /// The dense bit-parallel Shift-And engine.
+    // Never constructed: the frozen azoo-perf/src/layers.rs still matches
+    // on the deleted bit-parallel and Sheng tiers; ROADMAP N1 deletes both.
+    #[doc(hidden)]
     BitParallel,
     /// The lazy-DFA engine.
     LazyDfa,
-    // Shim for the frozen azoo-perf/src/layers.rs; ROADMAP N1 deletes it.
     #[doc(hidden)]
     Sheng,
     /// The literal-prefilter engine (windowed simulation gated behind an
@@ -59,30 +60,11 @@ fn preflight(a: &Automaton) -> Result<(), EngineError> {
     }
 }
 
-/// Picks the fastest applicable engine for `a`:
-///
-/// 1. chain-shaped automata → [`BitParallelEngine`] (dense bitwise
-///    advance; best for literal sets, RF chains, CRISPR filters) —
-///    chosen only while the state vector stays cache-resident;
-/// 2. counter-free automata of bounded size that are not layered
-///    edit-distance meshes → [`LazyDfaEngine`];
-/// 3. automata whose components mostly carry required literals →
-///    [`PrefilterEngine`] (admitted by [`prefilter_gate`]);
-/// 4. everything else (counters, huge NFAs) → [`NfaEngine`].
-///
-/// # Errors
-///
-/// Propagates [`EngineError::Invalid`] if the automaton fails
-/// validation.
-pub fn select_engine(a: &Automaton) -> Result<(EngineChoice, Box<dyn Engine>), EngineError> {
-    let (choice, engine) = select_session_engine(a)?;
-    Ok((choice, engine))
-}
-
 /// Detects the layered edit-distance mesh shape `azoo-fuzzy` emits
 /// (and the zoo's Levenshtein/Hamming filters hand-build): counter-free,
 /// acyclic, and dominated by Σ / near-Σ error-track states. Returns the
-/// wide-class state count when the shape matches.
+/// wide-class state count when the shape matches. Random Forest's
+/// feature-range chains match too: their classes are wide byte ranges.
 ///
 /// Subset construction over such a mesh enumerates the pattern's
 /// positions-×-edits antichains and blows up exponentially in the edit
@@ -149,12 +131,18 @@ pub fn prefilter_gate(pf: &PrefilterEngine) -> f64 {
     }
 }
 
-/// Streaming-capable variant of [`select_engine`]: the same portfolio
-/// policy, but the boxed engine also exposes the
+/// Picks the fastest applicable engine for `a`:
+///
+/// 1. counter-free automata of bounded size that are not layered
+///    edit-distance meshes → [`LazyDfaEngine`];
+/// 2. automata whose components mostly carry required literals →
+///    [`PrefilterEngine`] (admitted by [`prefilter_gate`]);
+/// 3. everything else (counters, huge NFAs, meshes) → [`NfaEngine`].
+///
+/// The boxed engine scans blocks, runs the
 /// [`StreamingEngine`](crate::StreamingEngine) feed protocol and
-/// [`SessionEngine::clone_session`], as session pools (azoo-serve)
-/// require. [`select_engine`] delegates here, so the two can never
-/// disagree on the choice.
+/// implements [`SessionEngine::clone_session`], as session pools
+/// (azoo-serve) require.
 ///
 /// # Errors
 ///
@@ -178,23 +166,13 @@ pub fn select_session_engine_explained(
     a: &Automaton,
 ) -> Result<(EngineChoice, String, Box<dyn SessionEngine>), EngineError> {
     preflight(a)?;
-    // Bit-parallel: chain-shaped and small enough that the per-symbol
-    // mask walk stays cheap (~256 KiB of active-set words).
-    if a.state_count() <= 2_000_000 {
-        if let Ok(engine) = BitParallelEngine::new(a) {
-            let reason = format!(
-                "chain-shaped, {} states: dense bit-parallel advance",
-                a.state_count()
-            );
-            return Ok((EngineChoice::BitParallel, reason, Box::new(engine)));
-        }
-    }
     // Layered edit-distance meshes (azoo-fuzzy, the zoo's Levenshtein /
-    // Hamming filters, `??`-heavy signature sets) determinize
-    // explosively — the subset automaton enumerates position-×-edit
-    // antichains — so they skip the DFA tier. The prefilter gate still
+    // Hamming filters, `??`-heavy signature sets) determinize explosively
+    // — the subset automaton enumerates position-×-edit antichains — so
+    // acyclic machines dominated by wide classes skip the DFA tier; Random
+    // Forest's range chains share the shape. The prefilter gate still
     // gets a vote: signature sets carry required literals, fuzzy meshes
-    // do not and end on the sparse NFA.
+    // and forests do not and end on the sparse NFA.
     let mesh = fuzzy_layered_shape(a);
     if a.counter_count() == 0 && a.state_count() <= 200_000 && mesh.is_none() {
         if let Ok(engine) = LazyDfaEngine::new(a) {
@@ -230,7 +208,7 @@ pub fn select_session_engine_explained(
     };
     let reason = match mesh {
         Some(wide) => format!(
-            "layered edit-distance mesh ({wide} of {} states carry wide error-track classes) \
+            "acyclic, {wide} of {} states carry wide (>= 128-byte) classes: \
              skips the DFA tier; {verdict}",
             a.state_count()
         ),
@@ -268,15 +246,19 @@ pub fn select_session_engine_threaded(
 mod tests {
     use super::*;
     use crate::sink::CollectSink;
+    use crate::Engine;
     use azoo_core::{CounterMode, StartKind, StateId, SymbolClass};
 
     #[test]
-    fn chains_get_bit_parallel() {
+    fn short_chains_get_lazy_dfa() {
+        // A 4-state chain has no wide states, so it is not mesh-shaped:
+        // the DFA tier takes it.
         let mut a = Automaton::new();
         let (_, last) = a.add_chain(&[SymbolClass::from_byte(b'x'); 4], StartKind::AllInput);
         a.set_report(last, 0);
-        let (choice, mut engine) = select_engine(&a).unwrap();
-        assert_eq!(choice, EngineChoice::BitParallel);
+        assert!(fuzzy_layered_shape(&a).is_none());
+        let (choice, mut engine) = select_session_engine(&a).unwrap();
+        assert_eq!(choice, EngineChoice::LazyDfa);
         let mut sink = CollectSink::new();
         engine.scan(b"xxxx", &mut sink);
         assert_eq!(sink.reports().len(), 1);
@@ -284,7 +266,7 @@ mod tests {
 
     #[test]
     fn small_fanout_gets_lazy_dfa() {
-        // Not chain-shaped, counter-free, determinizes to a handful of
+        // Counter-free, determinizes to a handful of
         // states: the DFA tier takes it, however small.
         let mut a = Automaton::new();
         let s = a.add_ste(SymbolClass::from_byte(b'a'), StartKind::AllInput);
@@ -294,7 +276,7 @@ mod tests {
         a.add_edge(s, t2);
         a.set_report(t1, 0);
         a.set_report(t2, 1);
-        let (choice, mut engine) = select_engine(&a).unwrap();
+        let (choice, mut engine) = select_session_engine(&a).unwrap();
         assert_eq!(choice, EngineChoice::LazyDfa);
         let mut sink = CollectSink::new();
         engine.scan(b"ab.ac.a", &mut sink);
@@ -307,20 +289,19 @@ mod tests {
         let s = a.add_ste(SymbolClass::from_byte(b'a'), StartKind::AllInput);
         let t = a.add_ste(SymbolClass::from_byte(b'b'), StartKind::None);
         a.add_edge(s, t);
-        a.add_edge(s, s); // self loop plus fan-out breaks the chain shape
+        a.add_edge(s, s);
         a.add_edge(t, s);
         let c = a.add_counter(2, CounterMode::Latch);
         a.add_edge(t, c);
         a.set_report(c, 0);
-        let (choice, _) = select_engine(&a).unwrap();
+        let (choice, _) = select_session_engine(&a).unwrap();
         assert_eq!(choice, EngineChoice::Nfa);
     }
 
     #[test]
     fn big_literal_suites_get_the_prefilter() {
-        // Counter-free but too large for the lazy DFA and not
-        // chain-shaped (one fanout component), with required literals
-        // everywhere: the prefilter tier catches it.
+        // Counter-free but too large for the lazy DFA, with required
+        // literals everywhere: the prefilter tier catches it.
         let mut a = Automaton::new();
         let s = a.add_ste(SymbolClass::from_byte(b'a'), StartKind::AllInput);
         let t1 = a.add_ste(SymbolClass::from_byte(b'b'), StartKind::None);
@@ -336,7 +317,7 @@ mod tests {
             a.set_report(last, 2 + i);
         }
         assert!(a.state_count() > 200_000);
-        let (choice, mut engine) = select_engine(&a).unwrap();
+        let (choice, mut engine) = select_session_engine(&a).unwrap();
         assert_eq!(choice, EngineChoice::Prefilter);
         let mut sink = CollectSink::new();
         engine.scan(b"xx w000017 ab", &mut sink);
@@ -417,7 +398,7 @@ mod tests {
         let (choice, reason, mut engine) = select_session_engine_explained(&a).unwrap();
         assert_eq!(choice, EngineChoice::Nfa, "{reason}");
         assert!(
-            reason.contains("edit-distance mesh"),
+            reason.contains("acyclic, ") && reason.contains("wide (>= 128-byte) classes"),
             "reason should name the shape: {reason}"
         );
         let mut sink = CollectSink::new();
@@ -518,14 +499,14 @@ mod tests {
         let (_, last) = a.add_chain(&[SymbolClass::from_byte(b'x'); 4], StartKind::AllInput);
         a.set_report(last, 0);
         let (choice, _) = select_session_engine_threaded(&a, 1).unwrap();
-        assert_eq!(choice, EngineChoice::BitParallel);
+        assert_eq!(choice, EngineChoice::LazyDfa);
     }
 
     #[test]
     fn invalid_automata_error() {
         let mut a = Automaton::new();
         a.add_ste(SymbolClass::EMPTY, StartKind::AllInput);
-        assert!(select_engine(&a).is_err());
+        assert!(select_session_engine(&a).is_err());
     }
 
     #[test]
@@ -537,7 +518,7 @@ mod tests {
         a.add_edge(s, t);
         a.set_report(t, 0);
         assert!(matches!(
-            select_engine(&a),
+            select_session_engine(&a),
             Err(EngineError::Invalid(
                 azoo_core::CoreError::DuplicateEdge { .. }
             ))

@@ -73,7 +73,7 @@ pub trait StreamingEngine {
 mod tests {
     use super::*;
     use crate::sink::CollectSink;
-    use crate::{BitParallelEngine, Engine, LazyDfaEngine, NfaEngine};
+    use crate::{Engine, LazyDfaEngine, NfaEngine};
     use azoo_core::{Automaton, StartKind, SymbolClass};
 
     fn pattern() -> Automaton {
@@ -117,12 +117,6 @@ mod tests {
                 whole(&mut dfa, input),
                 chunked(&mut LazyDfaEngine::new(&a).unwrap(), input, cut),
                 "dfa cut {cut}"
-            );
-            let mut bp = BitParallelEngine::new(&a).unwrap();
-            assert_eq!(
-                whole(&mut bp, input),
-                chunked(&mut BitParallelEngine::new(&a).unwrap(), input, cut),
-                "bitpar cut {cut}"
             );
         }
     }
@@ -175,18 +169,7 @@ mod tests {
         check(LazyDfaEngine::new(&a).unwrap(), input);
         check(PrefilterEngine::new(&a).unwrap(), input);
         check(ParallelScanner::new(&a, 2).unwrap(), input);
-        // Bit-parallel needs a chain shape; counters need the NFA.
-        let mut chain = Automaton::new();
-        let (_, last) = chain.add_chain(
-            &[
-                SymbolClass::from_byte(b'a'),
-                SymbolClass::from_byte(b'b'),
-                SymbolClass::from_byte(b'c'),
-            ],
-            StartKind::AllInput,
-        );
-        chain.set_report(last, 0);
-        check(BitParallelEngine::new(&chain).unwrap(), input);
+        // Counters need the NFA.
         let mut counted = Automaton::new();
         let s = counted.add_ste(SymbolClass::from_byte(b'a'), StartKind::AllInput);
         let c = counted.add_counter(2, azoo_core::CounterMode::Latch);

@@ -3,7 +3,7 @@
 //! 1. **Prefix merging**: state count, active set, and NFA throughput
 //!    before/after the optimization.
 //! 2. **Engine choice**: the same benchmark on the sparse NFA engine vs
-//!    the lazy DFA (vs bit-parallel where the shape allows).
+//!    the lazy DFA.
 //! 3. **Striding**: the File Carving patterns executed as bit-level
 //!    automata (8 bit-symbols per byte) vs the 8-strided byte automata.
 //! 4. **Counters**: report volume of Sequence Matching with and without

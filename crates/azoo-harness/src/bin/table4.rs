@@ -5,7 +5,6 @@
 //!
 //! Rows:
 //! * lazy-DFA engine (the Hyperscan stand-in, = 1x baseline)
-//! * bit-parallel engine (our stronger CPU automata row)
 //! * parallel scanner (sharded/chunked NFA across `--threads` workers)
 //! * with `--prefilter`: the literal-prefilter engine, single-threaded
 //!   (the parallel row also gates its shards behind the prefilter)
@@ -25,9 +24,7 @@
 
 use std::time::Instant;
 
-use azoo_engines::{
-    BitParallelEngine, CountSink, Engine, LazyDfaEngine, ParallelScanner, PrefilterEngine,
-};
+use azoo_engines::{CountSink, Engine, LazyDfaEngine, ParallelScanner, PrefilterEngine};
 use azoo_harness::{
     arg_value, flag_present, scale_from_args, time_scan_with, write_metrics_json, Table,
 };
@@ -82,10 +79,6 @@ fn main() {
         (
             "Lazy DFA (Hyperscan)".into(),
             Box::new(LazyDfaEngine::with_max_states(a, 1 << 16).expect("no counters")),
-        ),
-        (
-            "Bit-parallel (ours)".into(),
-            Box::new(BitParallelEngine::new(a).expect("chains")),
         ),
         // Sharded/chunked NFA across worker threads.
         (
@@ -146,9 +139,9 @@ fn main() {
         ("Speedup", 9),
         ("Paper", 7),
     ]);
-    let mut paper = vec!["1x", "-", "-", "141.5x", "401.1x", "817.9x"];
+    let mut paper = vec!["1x", "-", "141.5x", "401.1x", "817.9x"];
     if prefilter {
-        paper.insert(3, "-");
+        paper.insert(2, "-");
     }
     for ((name, kcps), paper_cell) in rows.iter().zip(paper) {
         table.row(&[

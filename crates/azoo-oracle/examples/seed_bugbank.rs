@@ -121,7 +121,6 @@ fn main() {
     for kind in [
         EngineKind::NfaSkip,
         EngineKind::LazyDfa { max_states: 0 },
-        EngineKind::BitPar,
         EngineKind::Prefilter,
     ] {
         entries.push(entry(

@@ -1,8 +1,7 @@
 //! A uniform adapter over every engine in the portfolio.
 //!
 //! The oracle needs to run "the same scan" through heterogeneous
-//! engines: some reject counters, some reject non-chain shapes, one is
-//! the reference with a tunable quiescence optimization, one takes a
+//! engines: some reject counters, one is the reference with a tunable quiescence optimization, one takes a
 //! cache-size knob, one a thread count. [`EngineKind`] names a concrete
 //! configuration, and [`EngineUnderTest`] erases the differences behind
 //! `run_block` / `run_chunks` returning normalized `(offset, code)`
@@ -11,8 +10,8 @@
 
 use azoo_core::Automaton;
 use azoo_engines::{
-    BitParallelEngine, CollectSink, EngineError, LazyDfaEngine, NfaEngine, ParallelScanner,
-    PrefilterEngine, SessionEngine,
+    CollectSink, EngineError, LazyDfaEngine, NfaEngine, ParallelScanner, PrefilterEngine,
+    SessionEngine,
 };
 
 /// One normalized report: `(offset, code)`.
@@ -31,8 +30,6 @@ pub enum EngineKind {
         /// DFA cache bound, 0 for the default.
         max_states: usize,
     },
-    /// Bit-parallel Shift-And (chain-shaped automata only).
-    BitPar,
     /// Literal-prefilter gated engine with the ambient trigger (the
     /// vectorized Teddy scanner when the literal set fits and the host
     /// has SIMD, Aho–Corasick otherwise).
@@ -62,7 +59,6 @@ impl EngineKind {
             EngineKind::LazyDfa { max_states: 2 },
             EngineKind::LazyDfa { max_states: 3 },
             EngineKind::LazyDfa { max_states: 17 },
-            EngineKind::BitPar,
             EngineKind::Prefilter,
             EngineKind::PrefilterScalarTrigger,
             EngineKind::Parallel {
@@ -94,7 +90,6 @@ impl EngineKind {
             EngineKind::NfaNoSkip => "nfa-noskip".into(),
             EngineKind::LazyDfa { max_states: 0 } => "lazydfa".into(),
             EngineKind::LazyDfa { max_states } => format!("lazydfa:{max_states}"),
-            EngineKind::BitPar => "bitpar".into(),
             EngineKind::Prefilter => "prefilter".into(),
             EngineKind::PrefilterScalarTrigger => "prefilter-scalar".into(),
             EngineKind::Parallel {
@@ -126,7 +121,6 @@ impl EngineKind {
             "lazydfa" => Some(EngineKind::LazyDfa {
                 max_states: num(0)?,
             }),
-            "bitpar" if arg.is_none() => Some(EngineKind::BitPar),
             "prefilter" if arg.is_none() => Some(EngineKind::Prefilter),
             "prefilter-scalar" if arg.is_none() => Some(EngineKind::PrefilterScalarTrigger),
             // `parallel:0` is rejected here rather than surfacing the
@@ -165,7 +159,7 @@ impl EngineUnderTest {
     /// Compiles `a` for `kind`.
     ///
     /// Returns `Ok(None)` when the engine legitimately does not apply to
-    /// this automaton (counters, non-chain shape) and `Err` only when
+    /// this automaton (counters) and `Err` only when
     /// the automaton itself is invalid — which the oracle treats as a
     /// generator bug, not an engine bug.
     pub fn build(kind: EngineKind, a: &Automaton) -> Result<Option<Self>, EngineError> {
@@ -182,7 +176,6 @@ impl EngineUnderTest {
             EngineKind::LazyDfa { max_states } => {
                 LazyDfaEngine::with_max_states(a, max_states).map(boxed)
             }
-            EngineKind::BitPar => BitParallelEngine::new(a).map(boxed),
             EngineKind::Prefilter => PrefilterEngine::new(a).map(boxed),
             EngineKind::PrefilterScalarTrigger => {
                 PrefilterEngine::with_scalar_trigger(a).map(boxed)
@@ -193,7 +186,7 @@ impl EngineUnderTest {
         };
         match built {
             Ok(engine) => Ok(Some(EngineUnderTest { kind, engine })),
-            Err(EngineError::CountersUnsupported(_) | EngineError::NotChainShaped(_)) => Ok(None),
+            Err(EngineError::CountersUnsupported(_)) => Ok(None),
             Err(e) => Err(e),
         }
     }
@@ -258,7 +251,7 @@ mod tests {
 
     #[test]
     fn parse_list_reports_unknown_names() {
-        assert!(EngineKind::parse_list("nfa, bitpar").is_ok());
+        assert!(EngineKind::parse_list("nfa, lazydfa:2").is_ok());
         assert!(EngineKind::parse_list("nfa, wat").is_err());
     }
 

@@ -1,10 +1,10 @@
-//! Quickstart: compile patterns to automata, scan input with every
-//! engine, and inspect automata statistics and transformations.
+//! Quickstart: compile patterns to automata, scan input with the NFA
+//! and lazy-DFA engines, and inspect automata statistics and transformations.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use automatazoo::core::AutomatonStats;
-use automatazoo::engines::{BitParallelEngine, CollectSink, Engine, LazyDfaEngine, NfaEngine};
+use automatazoo::engines::{CollectSink, Engine, LazyDfaEngine, NfaEngine};
 use automatazoo::passes::{merge_prefixes, remove_dead};
 use automatazoo::regex::compile_ruleset;
 
@@ -67,24 +67,5 @@ fn main() {
         "lazy-DFA engine agrees ({} cached DFA states, {} alphabet classes)",
         dfa.cached_states(),
         dfa.alphabet_classes()
-    );
-
-    // 5. Chain-shaped automata can also use the bit-parallel engine.
-    let mut literal = automatazoo::core::Automaton::new();
-    let (_, last) = literal.add_chain(
-        &b"virus_"
-            .iter()
-            .map(|&b| automatazoo::core::SymbolClass::from_byte(b).ascii_case_fold())
-            .collect::<Vec<_>>(),
-        automatazoo::core::StartKind::AllInput,
-    );
-    literal.set_report(last, 0);
-    let mut bp = BitParallelEngine::new(&literal).expect("chain-shaped");
-    let mut sink3 = CollectSink::new();
-    bp.scan(input, &mut sink3);
-    println!(
-        "bit-parallel engine found the literal {} time(s) in {} words/symbol",
-        sink3.reports().len(),
-        bp.word_count()
     );
 }

@@ -15,7 +15,7 @@
 //! * [`analyze`] — lint rules & pass-invariant verification ([`azoo_analyze`])
 //! * [`passes`] — optimization & transformation passes ([`azoo_passes`])
 //! * [`regex`] — PCRE-subset → Glushkov NFA compiler ([`azoo_regex`])
-//! * [`engines`] — NFA / lazy-DFA / bit-parallel engines ([`azoo_engines`])
+//! * [`engines`] — NFA / lazy-DFA / prefilter engines ([`azoo_engines`])
 //! * [`fuzzy`] — bounded edit-distance automaton construction ([`azoo_fuzzy`])
 //! * [`oracle`] — cross-engine differential testing oracle ([`azoo_oracle`])
 //! * [`serve`] — multi-tenant streaming scan service ([`azoo_serve`])

@@ -12,8 +12,8 @@
 
 use automatazoo::core::{Automaton, CounterMode, StartKind, SymbolClass};
 use automatazoo::engines::{
-    BitParallelEngine, CollectSink, Engine, LazyDfaEngine, NfaEngine, ParallelScanner,
-    PrefilterEngine, Report, StreamingEngine,
+    CollectSink, Engine, LazyDfaEngine, NfaEngine, ParallelScanner, PrefilterEngine, Report,
+    StreamingEngine,
 };
 
 /// One all-input chain per word, reporting `code = index`.
@@ -201,9 +201,6 @@ fn assert_stream_invariant(a: &Automaton, input: &[u8]) {
                 "lazydfa",
                 Box::new(LazyDfaEngine::with_max_states(a, max_states).expect("dfa builds")),
             ));
-        }
-        if let Ok(bp) = BitParallelEngine::new(a) {
-            engines.push(("bitpar", Box::new(bp)));
         }
     }
     for (name, mut engine) in engines {

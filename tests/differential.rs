@@ -4,13 +4,12 @@
 //! the parallel scanner's merge) safe to select from freely.
 //!
 //! Random automata (with cycles and anchors) and random chain sets are
-//! scanned by the NFA engine (reference), the lazy DFA, the bit-parallel
-//! engine (where the shape allows), and the parallel scanner at 1, 2,
-//! and 4 worker threads.
+//! scanned by the NFA engine (reference), the lazy DFA, and the parallel
+//! scanner at 1, 2, and 4 worker threads.
 
 use automatazoo::core::{Automaton, StartKind, StateId, SymbolClass};
 use automatazoo::engines::{
-    BitParallelEngine, CollectSink, Engine, LazyDfaEngine, NfaEngine, ParallelScanner, Report,
+    CollectSink, Engine, LazyDfaEngine, NfaEngine, ParallelScanner, Report,
 };
 use proptest::prelude::*;
 
@@ -58,8 +57,7 @@ fn arb_automaton() -> impl Strategy<Value = Automaton> {
 }
 
 /// Strategy: a multi-component set of literal chains — the chunkable
-/// shape (all-input starts, acyclic) that exercises input chunking and
-/// the bit-parallel engine.
+/// shape (all-input starts, acyclic) that exercises input chunking.
 fn arb_chains() -> impl Strategy<Value = Automaton> {
     proptest::collection::vec(
         proptest::collection::vec(proptest::sample::select(vec![b'a', b'b', b'c']), 1..6),
@@ -199,9 +197,6 @@ proptest! {
         let reference = sorted_reports(&mut NfaEngine::new(&a).expect("valid"), &input);
         let mut dfa = LazyDfaEngine::with_max_states(&a, 16).expect("no counters");
         prop_assert_eq!(&reference, &sorted_reports(&mut dfa, &input));
-        if let Ok(mut bp) = BitParallelEngine::new(&a) {
-            prop_assert_eq!(&reference, &sorted_reports(&mut bp, &input));
-        }
         for threads in [1usize, 2, 4] {
             prop_assert_eq!(&reference, &parallel_reports(&a, threads, &input),
                             "parallel @ {} threads", threads);
@@ -214,10 +209,6 @@ proptest! {
         prop_assert_eq!(
             &reference,
             &sorted_reports(&mut LazyDfaEngine::with_max_states(&a, 16).expect("no counters"), &input)
-        );
-        prop_assert_eq!(
-            &reference,
-            &sorted_reports(&mut BitParallelEngine::new(&a).expect("chains"), &input)
         );
         for threads in [1usize, 2, 4] {
             prop_assert_eq!(&reference, &parallel_reports(&a, threads, &input),

@@ -4,7 +4,7 @@
 
 use automatazoo::core::anml;
 use automatazoo::engines::{
-    select_engine, CollectSink, Engine, EngineChoice, NfaEngine, Report, StreamingEngine,
+    select_session_engine, CollectSink, Engine, EngineChoice, NfaEngine, Report, StreamingEngine,
 };
 use automatazoo::ml::SpatialModel;
 use automatazoo::passes::partition;
@@ -88,24 +88,30 @@ fn anml_roundtrips_benchmarks() {
 
 #[test]
 fn engine_selection_matches_benchmark_shapes() {
-    // RF chains -> bit-parallel.
+    // RF range chains: acyclic, wide classes, no literals -> NFA.
+    for id in [
+        BenchmarkId::RandomForestA,
+        BenchmarkId::RandomForestB,
+        BenchmarkId::RandomForestC,
+    ] {
+        let (choice, _) = select_session_engine(&id.build(Scale::Tiny).automaton).expect("valid");
+        assert_eq!(choice, EngineChoice::Nfa, "{}", id.name());
+    }
     let rf = BenchmarkId::RandomForestB.build(Scale::Tiny);
-    let (choice, _) = select_engine(&rf.automaton).expect("valid");
-    assert_eq!(choice, EngineChoice::BitParallel);
     // Regex-derived Protomata -> lazy DFA.
     let proto = BenchmarkId::Protomata.build(Scale::Tiny);
-    let (choice, _) = select_engine(&proto.automaton).expect("valid");
+    let (choice, _) = select_session_engine(&proto.automaton).expect("valid");
     assert_eq!(choice, EngineChoice::LazyDfa);
     // Counter benchmarks -> NFA.
     let spm = BenchmarkId::SeqMatch6w6pWc.build(Scale::Tiny);
-    let (choice, _) = select_engine(&spm.automaton).expect("valid");
+    let (choice, _) = select_session_engine(&spm.automaton).expect("valid");
     assert_eq!(choice, EngineChoice::Nfa);
     // Whatever is selected must produce the NFA-canonical report stream.
     for bench in [rf, proto] {
         let window = bench.input.len().min(5_000);
         let input = &bench.input[..window];
         let expected = whole_scan(&bench.automaton, input);
-        let (_, mut engine) = select_engine(&bench.automaton).expect("valid");
+        let (_, mut engine) = select_session_engine(&bench.automaton).expect("valid");
         let mut sink = CollectSink::new();
         engine.scan(input, &mut sink);
         assert_eq!(expected, sink.sorted_reports());
