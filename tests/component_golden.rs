@@ -5,7 +5,9 @@
 //! subgraph statistics, the prefilter analysis verdicts and plan
 //! coverage, the tier the engine portfolio selects, `ParallelScanner`'s
 //! shard split, and the linter's per-rule finding counts. A refactor of that analysis must leave the file
-//! byte-identical.
+//! byte-identical. Each record also carries an order-sensitive digest of
+//! the generated automaton (FNV-1a over its MNRL serialization), so a
+//! generator rewrite must reproduce every state, edge and state number.
 //!
 //! To regenerate after an intentional behaviour change:
 //! `BLESS=1 cargo test --test component_golden`.
@@ -14,6 +16,7 @@ use std::collections::BTreeMap;
 
 use automatazoo::analyze::analyze;
 use automatazoo::core::json::Json;
+use automatazoo::core::mnrl;
 use automatazoo::core::stats::{longest_path_from_starts, PrefilterBlock};
 use automatazoo::core::AutomatonStats;
 use automatazoo::engines::{select_session_engine, ParallelScanner};
@@ -38,6 +41,17 @@ fn obj(members: Vec<(&str, Json)>) -> Json {
             .map(|(k, v)| (k.to_string(), v))
             .collect(),
     )
+}
+
+/// FNV-1a over the MNRL text: unlike `content_hash`, it changes when
+/// states are renumbered.
+fn digest(text: &str) -> Json {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in text.as_bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    Json::Str(format!("{h:016x}"))
 }
 
 fn record(id: BenchmarkId) -> Json {
@@ -102,6 +116,7 @@ fn record(id: BenchmarkId) -> Json {
 
     obj(vec![
         ("benchmark", Json::Str(id.name().to_string())),
+        ("digest", digest(&mnrl::to_json(&a, id.name()))),
         ("stats", stats),
         (
             "window",
