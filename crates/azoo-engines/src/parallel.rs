@@ -37,7 +37,7 @@ use azoo_sync::{ranks, OrderedMutex};
 
 use crate::nfa::NfaEngine;
 use crate::prefilter::PrefilterEngine;
-use crate::sink::{Report, ReportSink};
+use crate::sink::{RebaseSink, Report, ReportSink};
 use crate::stream::StreamingEngine;
 use crate::{prefilter_gate, Engine, EngineError};
 
@@ -342,7 +342,7 @@ impl ParallelScanner {
         let mut merged: Vec<Report> = if workers <= 1 || chunk.is_empty() {
             let mut out = Vec::new();
             for shard in &mut self.shards {
-                shard.engine.feed(chunk, eod, &mut VecSink(&mut out));
+                shard.engine.feed(chunk, eod, &mut out);
             }
             out
         } else {
@@ -354,7 +354,7 @@ impl ParallelScanner {
                     scope.spawn(move |_| {
                         let mut out = Vec::new();
                         for shard in group {
-                            shard.engine.feed(chunk, eod, &mut VecSink(&mut out));
+                            shard.engine.feed(chunk, eod, &mut out);
                         }
                         merge.lock().append(&mut out);
                     });
@@ -419,7 +419,7 @@ impl<'a> Worker<'a> {
         let engine =
             self.engines[job.shard].get_or_insert_with(|| self.shards[job.shard].engine.clone());
         let Some(window) = job.window else {
-            engine.scan(input, &mut VecSink(out));
+            engine.scan(input, out);
             return;
         };
         // Re-scan up to `window - 1` bytes before the chunk so matches
@@ -434,32 +434,6 @@ impl<'a> Worker<'a> {
         };
         engine.reset_stream();
         engine.feed(&input[slice_start..job.end], eod, &mut sink);
-    }
-}
-
-/// Appends reports verbatim.
-struct VecSink<'a>(&'a mut Vec<Report>);
-
-impl ReportSink for VecSink<'_> {
-    fn report(&mut self, offset: u64, code: azoo_core::ReportCode) {
-        self.0.push(Report { offset, code });
-    }
-}
-
-/// Rebases slice-relative offsets to absolute ones and drops reports
-/// below the chunk's owned range.
-struct RebaseSink<'a> {
-    base: u64,
-    min: u64,
-    out: &'a mut Vec<Report>,
-}
-
-impl ReportSink for RebaseSink<'_> {
-    fn report(&mut self, offset: u64, code: azoo_core::ReportCode) {
-        let offset = offset + self.base;
-        if offset >= self.min {
-            self.out.push(Report { offset, code });
-        }
     }
 }
 

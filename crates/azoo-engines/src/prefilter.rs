@@ -49,7 +49,7 @@ use azoo_simd::{Teddy, TeddyMatch};
 
 use crate::literal::{AhoCorasick, LiteralHit};
 use crate::nfa::NfaEngine;
-use crate::sink::{Report, ReportSink};
+use crate::sink::{RebaseSink, Report, ReportSink};
 use crate::stream::StreamingEngine;
 use crate::{Engine, EngineError};
 
@@ -433,35 +433,6 @@ impl PrefilterEngine {
     }
 }
 
-/// Rebases span-local report offsets to global ones, dropping those the
-/// component's watermark already covered.
-struct SpanSink<'a> {
-    base: u64,
-    min: u64,
-    out: &'a mut Vec<Report>,
-}
-
-impl ReportSink for SpanSink<'_> {
-    fn report(&mut self, offset: u64, code: azoo_core::ReportCode) {
-        let global = self.base + offset;
-        if global >= self.min {
-            self.out.push(Report {
-                offset: global,
-                code,
-            });
-        }
-    }
-}
-
-/// Collects fallback reports (already globally offset).
-struct VecSink<'a>(&'a mut Vec<Report>);
-
-impl ReportSink for VecSink<'_> {
-    fn report(&mut self, offset: u64, code: azoo_core::ReportCode) {
-        self.0.push(Report { offset, code });
-    }
-}
-
 impl StreamingEngine for PrefilterEngine {
     fn reset_stream(&mut self) {
         self.matcher.reset();
@@ -580,7 +551,7 @@ impl StreamingEngine for PrefilterEngine {
                 if run.hot && s <= run.simulated_to {
                     // Continue the live arms from the watermark.
                     debug_assert!(s >= run.last_span_base);
-                    let mut ssink = SpanSink {
+                    let mut ssink = RebaseSink {
                         base: run.last_span_base,
                         min: run.simulated_to,
                         out: &mut self.reports,
@@ -596,7 +567,7 @@ impl StreamingEngine for PrefilterEngine {
                     engine.feed(&chunk[c0..c1], span_eod, &mut ssink);
                 } else {
                     engine.reset_stream();
-                    let mut ssink = SpanSink {
+                    let mut ssink = RebaseSink {
                         base: s,
                         min: run.simulated_to,
                         out: &mut self.reports,
@@ -634,7 +605,7 @@ impl StreamingEngine for PrefilterEngine {
                 let run = &mut self.runs[ci as usize];
                 if run.simulated_to == total && run.simulated_to > 0 && !run.eod_flushed {
                     if let Some(engine) = &mut run.engine {
-                        let mut ssink = SpanSink {
+                        let mut ssink = RebaseSink {
                             base: run.last_span_base,
                             min: 0,
                             out: &mut self.reports,
@@ -650,7 +621,7 @@ impl StreamingEngine for PrefilterEngine {
 
         // Stage 3: full simulation of the fallback remainder.
         if let Some(fb) = &mut self.fallback {
-            fb.feed(chunk, eod, &mut VecSink(&mut self.reports));
+            fb.feed(chunk, eod, &mut self.reports);
         }
 
         // Canonical merge: per-feed sort and dedup. Cross-feed duplicates
@@ -763,27 +734,25 @@ mod tests {
 
     #[test]
     fn shared_codes_across_components_dedupe() {
-        // Two gated components share a report code and match at the same
-        // offset; the canonical stream holds one report, like the NFA's
-        // per-cycle code dedup.
+        // Two gated components share a report code and both end at
+        // offset 4; the canonical stream holds one report there, like
+        // the NFA's per-cycle code dedup.
         let mut a = Automaton::new();
+        word(&mut a, b"xab", 7);
         word(&mut a, b"ab", 7);
-        word(&mut a, b"bb", 7);
-        let input = b"xabb"; // "ab" at 2? no: "ab" ends at 2, "bb" ends at 3... use overlap
         let mut engine = PrefilterEngine::new(&a).unwrap();
+        assert_eq!(engine.component_count(), 2);
+        assert_eq!(engine.exact_component_count(), 2);
+        assert!(!engine.has_fallback());
+        let input = b"..xab..ab";
         let mut sink = CollectSink::new();
         engine.scan(input, &mut sink);
+        let at = |offset| Report {
+            offset,
+            code: azoo_core::ReportCode(7),
+        };
+        assert_eq!(sink.reports(), [at(4), at(8)]);
         assert_eq!(sink.reports(), nfa_reports(&a, input));
-
-        let mut a2 = Automaton::new();
-        word(&mut a2, b"ab", 7);
-        word(&mut a2, b"cb", 7);
-        let mut e2 = PrefilterEngine::new(&a2).unwrap();
-        let mut s2 = CollectSink::new();
-        // No single offset has both, but same-offset same-code from one
-        // component plus fallbackless merge must still be deduped.
-        e2.scan(b"ab cb", &mut s2);
-        assert_eq!(s2.reports(), nfa_reports(&a2, b"ab cb"));
     }
 
     #[test]

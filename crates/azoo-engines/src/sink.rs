@@ -94,6 +94,30 @@ impl ReportSink for CollectSink {
     }
 }
 
+/// Appends every report in order of arrival.
+impl ReportSink for Vec<Report> {
+    fn report(&mut self, offset: u64, code: ReportCode) {
+        self.push(Report { offset, code });
+    }
+}
+
+/// Rebases slice-relative offsets by `base` and drops reports below
+/// `min`, the first offset the caller owns.
+pub(crate) struct RebaseSink<'a> {
+    pub(crate) base: u64,
+    pub(crate) min: u64,
+    pub(crate) out: &'a mut Vec<Report>,
+}
+
+impl ReportSink for RebaseSink<'_> {
+    fn report(&mut self, offset: u64, code: ReportCode) {
+        let offset = offset + self.base;
+        if offset >= self.min {
+            self.out.push(Report { offset, code });
+        }
+    }
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {

@@ -14,14 +14,12 @@
 //! * **track 1** — entered by an *edit* that consumes an input symbol.
 //!   When insertions are enabled this track is shared by insertions and
 //!   substitutions and must carry class `Σ` (any byte can be inserted);
-//!   when only substitutions consume input it carries `¬p[i]`, which is
-//!   exactly azoo-zoo's hand-built Hamming mesh.
+//!   when only substitutions consume input it carries `¬p[i]`.
 //!
 //! Disabling edit kinds specializes the mesh: `EditProfile::HAMMING`
-//! (substitutions only) reproduces `azoo_zoo::hamming::hamming_filter`
-//! report-for-report, and `EditProfile::LEVENSHTEIN` reproduces
-//! `azoo_zoo::levenshtein::levenshtein_filter` — both pinned by
-//! `tests/fuzzy_equivalence.rs` at the paper's published pattern sizes.
+//! (substitutions only) and `EditProfile::LEVENSHTEIN` are the two
+//! profiles azoo-zoo builds its Hamming, Levenshtein and CRISPR
+//! benchmarks from; this crate is the zoo's only mesh builder.
 //!
 //! Besides building meshes from scratch ([`fuzzy_automaton`],
 //! [`fuzzy_from_bytes`]), [`fuzzify`] lifts an existing *chain-shaped*

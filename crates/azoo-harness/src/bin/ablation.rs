@@ -21,7 +21,7 @@
 
 use azoo_core::{Automaton, CounterMode};
 use azoo_engines::{CountSink, Engine, LazyDfaEngine, NfaEngine, ParallelScanner, PrefilterEngine};
-use azoo_harness::{arg_value, fmt_count, scale_from_args, time_scan, Table};
+use azoo_harness::{fmt_count, positive_arg, scale_from_args, time_scan, Table};
 use azoo_passes::merge_prefixes;
 use azoo_zoo::{sequence_match, BenchmarkId, Scale};
 
@@ -30,14 +30,13 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     // Sweep worker counts up to --threads (default: the machine, capped
     // at 8 so the table stays readable).
-    let max_threads = arg_value(&args, "--threads")
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map_or(4, |n| n.get())
-                .min(8)
-        });
+    let max_threads = positive_arg(
+        &args,
+        "--threads",
+        std::thread::available_parallelism()
+            .map_or(4, |n| n.get())
+            .min(8),
+    );
     println!("== Ablations (scale: {scale:?}) ==");
     prefix_merge_ablation(scale);
     engine_ablation(scale);

@@ -39,7 +39,7 @@ use std::time::Instant;
 
 use azoo_core::json::Json;
 use azoo_engines::CollectSink;
-use azoo_harness::{arg_value, flag_present, scale_from_args};
+use azoo_harness::{arg_value, flag_present, positive_arg, scale_from_args};
 use azoo_serve::proto::{recv_response, send_request};
 use azoo_serve::{Db, DbConfig, DbRef, Request, Response};
 use azoo_zoo::{BenchmarkId, Scale};
@@ -64,18 +64,9 @@ fn main() {
     } else {
         scale_from_args()
     };
-    let connections: usize = arg_value(&args, "--connections")
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(2);
-    let sessions: usize = arg_value(&args, "--sessions")
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(8);
-    let chunk: usize = arg_value(&args, "--chunk")
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(4096);
+    let connections = positive_arg(&args, "--connections", 2);
+    let sessions = positive_arg(&args, "--sessions", 8);
+    let chunk = positive_arg(&args, "--chunk", 4096);
     let out = arg_value(&args, "--out");
 
     let reduce = flag_present(&args, "--reduce");

@@ -17,20 +17,22 @@
 #![warn(clippy::unwrap_used)]
 
 use azoo_engines::{CountSink, Engine, NfaEngine};
+use azoo_fuzzy::{fuzzy_from_bytes, EditProfile};
 use azoo_harness::{arg_value, scale_from_args, Table};
 use azoo_workloads::dna;
-use azoo_zoo::{hamming, levenshtein, Scale};
+use azoo_zoo::Scale;
 
 fn reports_per_million(kernel: &str, l: usize, d: usize, input: &[u8], trials: u64) -> f64 {
     let filters = 10;
+    let profile = match kernel {
+        "hamming" => EditProfile::HAMMING,
+        _ => EditProfile::LEVENSHTEIN,
+    };
     let mut total_reports = 0u64;
     for trial in 0..trials {
         for f in 0..filters {
             let pattern = dna::random_dna(0xF16_0001 + trial * 1000 + f, l);
-            let automaton = match kernel {
-                "hamming" => hamming::hamming_filter(&pattern, d, 0),
-                _ => levenshtein::levenshtein_filter(&pattern, d, 0),
-            };
+            let (automaton, _) = fuzzy_from_bytes(&pattern, d, profile, 0).expect("d < l");
             let mut engine = NfaEngine::new(&automaton).expect("valid");
             let mut sink = CountSink::new();
             engine.scan(input, &mut sink);

@@ -24,8 +24,8 @@
 
 use azoo_engines::{CollectSink, Engine, NfaEngine, ParallelScanner, PrefilterEngine};
 use azoo_harness::{
-    flag_present, fmt_count, scale_from_args, threads_from_args, time_scan_with,
-    write_metrics_json, Table,
+    flag_present, fmt_count, positive_arg, scale_from_args, time_scan_with, write_metrics_json,
+    Table,
 };
 use azoo_serve::MetricsRegistry;
 use azoo_workloads::network::{pcap_like, PcapConfig};
@@ -35,7 +35,7 @@ use azoo_zoo::Scale;
 fn main() {
     let scale = scale_from_args();
     let args: Vec<String> = std::env::args().collect();
-    let threads = threads_from_args(&args);
+    let threads = positive_arg(&args, "--threads", 1);
     let prefilter = flag_present(&args, "--prefilter");
     let (n_rules, input_len) = match scale {
         Scale::Tiny => (400, 1 << 16),

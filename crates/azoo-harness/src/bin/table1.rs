@@ -21,9 +21,7 @@
 #![warn(clippy::unwrap_used)]
 
 use azoo_engines::{Engine, NfaEngine, NullSink, ParallelScanner, PrefilterEngine};
-use azoo_harness::{
-    arg_value, flag_present, fmt_count, scale_from_args, threads_from_args, time_scan, Table,
-};
+use azoo_harness::{flag_present, fmt_count, positive_arg, scale_from_args, time_scan, Table};
 use azoo_passes::merge_prefixes;
 use azoo_zoo::{BenchmarkId, Scale};
 
@@ -65,10 +63,8 @@ fn paper_values(id: BenchmarkId) -> (usize, f64) {
 fn main() {
     let scale = scale_from_args();
     let args: Vec<String> = std::env::args().collect();
-    let profile_bytes: usize = arg_value(&args, "--profile-bytes")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16_384);
-    let threads = threads_from_args(&args);
+    let profile_bytes = positive_arg(&args, "--profile-bytes", 16_384);
+    let threads = positive_arg(&args, "--threads", 1);
     let prefilter = flag_present(&args, "--prefilter");
     let reduce = flag_present(&args, "--reduce");
     println!(

@@ -14,7 +14,7 @@
 
 use azoo_core::Automaton;
 use azoo_engines::{Engine, LazyDfaEngine, NfaEngine};
-use azoo_harness::{arg_value, scale_from_args, time_scan_with, Table};
+use azoo_harness::{positive_arg, scale_from_args, time_scan_with, Table};
 use azoo_passes::remove_dead;
 use azoo_zoo::sequence_match::{append_filter, generate_sequence, transaction_stream};
 use azoo_zoo::Scale;
@@ -22,13 +22,15 @@ use azoo_zoo::Scale;
 fn main() {
     let scale = scale_from_args();
     let args: Vec<String> = std::env::args().collect();
-    let filters: usize = arg_value(&args, "--filters")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(match scale {
+    let filters = positive_arg(
+        &args,
+        "--filters",
+        match scale {
             Scale::Tiny => 16,
             Scale::Small => 48,
             Scale::Full => 128,
-        });
+        },
+    );
     let transactions = match scale {
         Scale::Tiny => 2_000,
         Scale::Small => 10_000,

@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use azoo_engines::{CountSink, Engine, LazyDfaEngine, ParallelScanner, PrefilterEngine};
 use azoo_harness::{
-    arg_value, flag_present, scale_from_args, time_scan_with, write_metrics_json, Table,
+    flag_present, positive_arg, scale_from_args, time_scan_with, write_metrics_json, Table,
 };
 use azoo_ml::SpatialModel;
 use azoo_serve::MetricsRegistry;
@@ -36,10 +36,11 @@ use azoo_zoo::Scale;
 fn main() {
     let scale = scale_from_args();
     let args: Vec<String> = std::env::args().collect();
-    let threads: usize = arg_value(&args, "--threads")
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(std::thread::available_parallelism().map_or(4, |n| n.get()));
+    let threads = positive_arg(
+        &args,
+        "--threads",
+        std::thread::available_parallelism().map_or(4, |n| n.get()),
+    );
     let prefilter = flag_present(&args, "--prefilter");
     let mut params = RandomForestParams::published(Variant::B);
     match scale {

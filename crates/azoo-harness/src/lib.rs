@@ -4,13 +4,14 @@
 //!
 //! | binary     | artifact |
 //! |------------|----------|
-//! | `table1`   | Table I — the 25-row benchmark-suite statistics table |
+//! | `table1`   | Table I — the 27-row benchmark-suite statistics table |
 //! | `table2`   | Table II — Random Forest variant trade-offs |
 //! | `table3`   | Table III — AP-padding overhead on CPU engines |
 //! | `table4`   | Table IV — Random Forest throughput across engines |
 //! | `fig1`     | Figure 1 + Table V — profile-driven mesh pruning |
 //! | `section5` | Section V — Snort rule-filtering report-rate drops |
 //! | `ablation` | DESIGN.md §7 — pass/engine/striding ablations |
+//! | `summary`  | suite overview — every benchmark's domain and sizes |
 //! | `azoo-serve` | the multi-tenant streaming scan server (README "Serving") |
 //! | `azoo-loadgen` | load generator / smoke client for `azoo-serve` |
 //!
@@ -22,7 +23,12 @@
 //! All table/figure binaries accept `--scale tiny|small|full` (default `small`);
 //! `table1`, `table4`, `section5`, and `ablation` also accept
 //! `--threads N` to scan with the multi-threaded [`ParallelScanner`]
-//! (default 1 = the single-threaded engines). `table1`, `table4`, and
+//! (default 1 in `table1` and `section5`, the machine's cores in
+//! `table4`, capped at 8 in `ablation`). Every numeric flag — `--threads`,
+//! `table1 --profile-bytes`, `table3 --filters`, and `azoo-loadgen
+//! --connections/--sessions/--chunk` — is read by [`positive_arg`]: zero
+//! or a non-number prints a usage line and exits 2, as an unknown
+//! `--scale` does. `table1`, `table4`, and
 //! `section5` additionally accept `--prefilter` to route the timed
 //! scans through the literal-prefilter engine
 //! ([`PrefilterEngine`] single-threaded,
@@ -48,10 +54,11 @@ pub fn scale_from_args() -> Scale {
     parse_scale(&args).unwrap_or_else(|e| usage_exit(&e))
 }
 
-/// Parses `--threads` from `args`; defaults to 1 (single-threaded).
-/// Zero and unparsable values print a usage line and exit 2.
-pub fn threads_from_args(args: &[String]) -> usize {
-    parse_threads(args).unwrap_or_else(|e| usage_exit(&e))
+/// Parses the positive integer after `flag` in `args`; `default` when
+/// the flag is absent. Zero and unparsable values print a usage line and
+/// exit 2.
+pub fn positive_arg(args: &[String], flag: &str, default: usize) -> usize {
+    parse_positive(args, flag, default).unwrap_or_else(|e| usage_exit(&e))
 }
 
 fn parse_scale(args: &[String]) -> Result<Scale, String> {
@@ -63,19 +70,21 @@ fn parse_scale(args: &[String]) -> Result<Scale, String> {
     }
 }
 
-fn parse_threads(args: &[String]) -> Result<usize, String> {
-    match arg_value(args, "--threads") {
-        None => Ok(1),
+fn parse_positive(args: &[String], flag: &str, default: usize) -> Result<usize, String> {
+    match arg_value(args, flag) {
+        None => Ok(default),
         Some(v) => v
             .parse()
             .ok()
             .filter(|&n| n > 0)
-            .ok_or_else(|| format!("--threads expects a positive integer, got '{v}'")),
+            .ok_or_else(|| format!("{flag} expects a positive integer, got '{v}'")),
     }
 }
 
 fn usage_exit(error: &str) -> ! {
-    eprintln!("{error}\nusage: [--scale tiny|small|full] [--threads N] (N >= 1)");
+    eprintln!(
+        "{error}\nusage: [--scale tiny|small|full] [--threads N] (numeric flags take N >= 1)"
+    );
     std::process::exit(2);
 }
 
@@ -181,11 +190,19 @@ mod tests {
 
     #[test]
     fn threads_default_and_parse() {
-        assert_eq!(threads_from_args(&argv(&["bin", "--threads", "4"])), 4);
-        assert_eq!(threads_from_args(&argv(&["bin"])), 1);
+        assert_eq!(
+            positive_arg(&argv(&["bin", "--threads", "4"]), "--threads", 1),
+            4
+        );
+        assert_eq!(positive_arg(&argv(&["bin"]), "--threads", 1), 1);
+        assert_eq!(
+            positive_arg(&argv(&["bin", "--chunk", "64"]), "--chunk", 7),
+            64
+        );
         // Bad values fail typed (the pub wrapper turns this into exit 2).
-        assert!(parse_threads(&argv(&["bin", "--threads", "0"])).is_err());
-        assert!(parse_threads(&argv(&["bin", "--threads", "abc"])).is_err());
+        for bad in ["0", "abc", "-3", ""] {
+            assert!(parse_positive(&argv(&["bin", "--filters", bad]), "--filters", 16).is_err());
+        }
     }
 
     #[test]

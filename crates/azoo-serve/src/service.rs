@@ -45,8 +45,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use azoo_core::ReportCode;
-use azoo_engines::{Report, ReportSink, SessionEngine};
+use azoo_engines::{Report, SessionEngine};
 use azoo_sync::{ranks, sched, OrderedMutex};
 
 use crate::db::{Db, DbCache, DbConfig, DbError};
@@ -190,14 +189,6 @@ pub struct SessionStats {
     pub fed_bytes: u64,
     /// Reports left undrained at close (discarded).
     pub undrained_reports: usize,
-}
-
-struct VecSink<'a>(&'a mut Vec<Report>);
-
-impl ReportSink for VecSink<'_> {
-    fn report(&mut self, offset: u64, code: ReportCode) {
-        self.0.push(Report { offset, code });
-    }
 }
 
 /// The embeddable scan service. See the module docs for lifecycle and
@@ -492,7 +483,7 @@ impl ScanService {
             release_global();
             return Err(ServeError::Cancelled(sid));
         };
-        engine.feed(bytes, eod, &mut VecSink(&mut inner.reports));
+        engine.feed(bytes, eod, &mut inner.reports);
         let nanos = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         let emitted = inner.reports.len() - before;
         inner.fed_bytes += len;

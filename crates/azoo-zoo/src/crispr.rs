@@ -16,10 +16,9 @@
 //! size evaluated in Bo's work.
 
 use azoo_core::{Automaton, ElementKind, StartKind, SymbolClass};
+use azoo_fuzzy::{fuzzy_from_bytes, EditProfile};
 use azoo_workloads::dna;
 use rand::RngExt;
-
-use crate::hamming::hamming_filter;
 
 /// Which CRISPR filter design to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,8 +58,14 @@ impl CrisprParams {
 }
 
 /// Builds a CasOT-style filter: a whole-guide distance-3 Hamming mesh.
+///
+/// # Panics
+///
+/// Panics if the guide is empty.
 pub fn cas_ot_filter(guide: &[u8], code: u32) -> Automaton {
-    hamming_filter(guide, 3.min(guide.len() - 1), code)
+    fuzzy_from_bytes(guide, 3.min(guide.len() - 1), EditProfile::HAMMING, code)
+        .expect("non-empty guide")
+        .0
 }
 
 /// Builds a CasOFFinder-style filter: exact 12bp seed, then a distance-1
@@ -77,7 +82,8 @@ pub fn cas_offinder_filter(guide: &[u8], code: u32) -> Automaton {
     let (_, seed_end) = a.add_chain(&classes, StartKind::AllInput);
     // Attach the tail mesh: demote its start states and drive them from
     // the seed.
-    let tail_mesh = hamming_filter(tail, 1, code);
+    let (tail_mesh, _) =
+        fuzzy_from_bytes(tail, 1, EditProfile::HAMMING, code).expect("tail of at least 2bp");
     let tail_starts = tail_mesh.start_states();
     let offset = a.append(&tail_mesh);
     for s in tail_starts {

@@ -5,8 +5,12 @@
 //! of `p`. The mesh tracks `(position, mismatches)` with two state tracks
 //! — one entered by matching `p[i]`, one by mismatching — which makes the
 //! automaton homogeneous (the symbol class lives on the state).
+//!
+//! azoo-fuzzy builds the mesh: it is the substitution-only profile,
+//! [`EditProfile::HAMMING`].
 
-use azoo_core::{Automaton, StartKind, SymbolClass};
+use azoo_core::Automaton;
+use azoo_fuzzy::{fuzzy_from_bytes, EditProfile};
 use azoo_workloads::dna;
 
 /// Parameters for the Hamming benchmark family.
@@ -38,82 +42,14 @@ impl HammingParams {
     }
 }
 
-/// Builds one Hamming filter automaton for `pattern` within distance `d`.
-/// All final-column states report with `code`.
-///
-/// # Panics
-///
-/// Panics if the pattern is empty or `d >= pattern.len()`.
-#[allow(clippy::needless_range_loop)] // index loops mirror the (i, k, track) mesh
-pub fn hamming_filter(pattern: &[u8], d: usize, code: u32) -> Automaton {
-    let l = pattern.len();
-    assert!(l > 0, "empty pattern");
-    assert!(d < l, "distance must be below pattern length");
-    let mut a = Automaton::new();
-    // State (i, k, track): consumed i symbols (1-based), k mismatches;
-    // track 0 = entered by match, track 1 = entered by mismatch.
-    // ids[i-1][k][track]
-    let mut ids = vec![[[None::<azoo_core::StateId>; 2]; 32]; l];
-    assert!(d < 31, "distance out of supported range");
-    for i in 1..=l {
-        let sym = SymbolClass::from_byte(pattern[i - 1]);
-        let nsym = sym.complement();
-        for k in 0..=d.min(i) {
-            // Match track: k mismatches among first i-1 symbols, i-th
-            // matched. Exists when k <= i-1.
-            if k < i {
-                let start = if i == 1 {
-                    StartKind::AllInput
-                } else {
-                    StartKind::None
-                };
-                let s = a.add_ste(sym, start);
-                ids[i - 1][k][0] = Some(s);
-            }
-            // Mismatch track: i-th symbol mismatched, so k >= 1.
-            if k >= 1 {
-                let start = if i == 1 {
-                    StartKind::AllInput
-                } else {
-                    StartKind::None
-                };
-                let s = a.add_ste(nsym, start);
-                ids[i - 1][k][1] = Some(s);
-            }
-        }
-    }
-    // Wire transitions and reports.
-    for i in 1..=l {
-        for k in 0..=d.min(i) {
-            for track in 0..2 {
-                let Some(s) = ids[i - 1][k][track] else {
-                    continue;
-                };
-                if i == l {
-                    a.set_report(s, code);
-                    continue;
-                }
-                if let Some(m) = ids[i][k][0] {
-                    a.add_edge(s, m);
-                }
-                if k < d {
-                    if let Some(mm) = ids[i][k + 1][1] {
-                        a.add_edge(s, mm);
-                    }
-                }
-            }
-        }
-    }
-    a
-}
-
 /// Builds the full benchmark: `filters` filters over random DNA patterns,
 /// plus the standard random-DNA input stimulus.
 pub fn build(params: &HammingParams) -> (Automaton, Vec<u8>) {
     let mut a = Automaton::new();
     for i in 0..params.filters {
         let pattern = dna::random_dna(params.seed ^ (i as u64 + 1), params.length);
-        let f = hamming_filter(&pattern, params.distance, i as u32);
+        let (f, _) = fuzzy_from_bytes(&pattern, params.distance, EditProfile::HAMMING, i as u32)
+            .expect("distance below pattern length");
         a.append(&f);
     }
     let input = dna::random_dna(params.seed ^ 0xFFFF_0001, params.input_len);
@@ -125,6 +61,12 @@ pub fn build(params: &HammingParams) -> (Automaton, Vec<u8>) {
 mod tests {
     use super::*;
     use azoo_engines::{CollectSink, Engine, NfaEngine};
+
+    fn mesh(pattern: &[u8], d: usize) -> Automaton {
+        fuzzy_from_bytes(pattern, d, EditProfile::HAMMING, 0)
+            .unwrap()
+            .0
+    }
 
     /// Reference: all window end-offsets within Hamming distance d.
     fn naive_hamming(pattern: &[u8], d: usize, input: &[u8]) -> Vec<u64> {
@@ -147,7 +89,7 @@ mod tests {
     fn filter_agrees_with_naive_scan() {
         let pattern = b"ACGTAC";
         for d in 0..4 {
-            let a = hamming_filter(pattern, d, 0);
+            let a = mesh(pattern, d);
             a.validate().unwrap();
             let input = dna::random_dna(5, 400);
             let mut engine = NfaEngine::new(&a).unwrap();
@@ -162,7 +104,7 @@ mod tests {
 
     #[test]
     fn exact_match_reports_once_per_occurrence() {
-        let a = hamming_filter(b"AAAA", 0, 0);
+        let a = mesh(b"AAAA", 0);
         let mut engine = NfaEngine::new(&a).unwrap();
         let mut sink = CollectSink::new();
         engine.scan(b"CCAAAACC", &mut sink);
@@ -171,8 +113,8 @@ mod tests {
 
     #[test]
     fn state_count_scales_with_l_and_d() {
-        let small = hamming_filter(&dna::random_dna(1, 18), 3, 0);
-        let large = hamming_filter(&dna::random_dna(1, 31), 10, 0);
+        let small = mesh(&dna::random_dna(1, 18), 3);
+        let large = mesh(&dna::random_dna(1, 31), 10);
         assert!(large.state_count() > 2 * small.state_count());
         // Roughly 2(d+1) states per column.
         assert!(small.state_count() >= 18 * 4 && small.state_count() <= 18 * 8);

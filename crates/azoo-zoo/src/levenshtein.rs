@@ -9,8 +9,12 @@
 //! made homogeneous with two tracks per configuration: one entered by a
 //! match (class `{p[i]}`) and one entered by an insert/substitute (class
 //! `Σ`).
+//!
+//! azoo-fuzzy builds the mesh: it is the full edit profile,
+//! [`EditProfile::LEVENSHTEIN`].
 
-use azoo_core::{Automaton, StartKind, StateId, SymbolClass};
+use azoo_core::Automaton;
+use azoo_fuzzy::{fuzzy_from_bytes, EditProfile};
 use azoo_workloads::dna;
 
 /// Parameters for the Levenshtein benchmark family.
@@ -42,97 +46,19 @@ impl LevenshteinParams {
     }
 }
 
-/// Builds one Levenshtein filter automaton for `pattern` within edit
-/// distance `d`, reporting with `code`.
-///
-/// # Panics
-///
-/// Panics if the pattern is empty or `d >= pattern.len()`.
-#[allow(clippy::needless_range_loop)] // index loops mirror the (i, e, track) mesh
-pub fn levenshtein_filter(pattern: &[u8], d: usize, code: u32) -> Automaton {
-    let l = pattern.len();
-    assert!(l > 0, "empty pattern");
-    assert!(d < l, "distance must be below pattern length");
-    let mut a = Automaton::new();
-    // Track 0: entered by matching p[i-1]; track 1: entered by any symbol
-    // (insertion or substitution).
-    let mut ids = vec![vec![[None::<StateId>; 2]; d + 1]; l + 1];
-    let accepting = |i: usize, e: usize| l - i <= d - e;
-    for i in 0..=l {
-        for e in 0..=d {
-            if i >= 1 {
-                let s = a.add_ste(SymbolClass::from_byte(pattern[i - 1]), StartKind::None);
-                ids[i][e][0] = Some(s);
-                if accepting(i, e) {
-                    a.set_report(s, code);
-                }
-            }
-            if e >= 1 {
-                let s = a.add_ste(SymbolClass::FULL, StartKind::None);
-                ids[i][e][1] = Some(s);
-                if accepting(i, e) {
-                    a.set_report(s, code);
-                }
-            }
-        }
-    }
-    // Deletion closure of configuration (i, e).
-    let closure = |i: usize, e: usize| -> Vec<(usize, usize)> {
-        (0..=(l - i).min(d - e)).map(|j| (i + j, e + j)).collect()
-    };
-    // Symbol successors of a configuration set (match / substitute /
-    // insert), as homogeneous target states.
-    let targets_of = |cfg: (usize, usize)| -> Vec<StateId> {
-        let mut out = Vec::new();
-        for (i, e) in closure(cfg.0, cfg.1) {
-            if i < l {
-                if let Some(m) = ids[i + 1][e][0] {
-                    out.push(m);
-                }
-                if e < d {
-                    if let Some(s) = ids[i + 1][e + 1][1] {
-                        out.push(s);
-                    }
-                }
-            }
-            if e < d {
-                if let Some(ins) = ids[i][e + 1][1] {
-                    out.push(ins);
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    };
-    for i in 0..=l {
-        for e in 0..=d {
-            for track in 0..2 {
-                let Some(s) = ids[i][e][track] else { continue };
-                for t in targets_of((i, e)) {
-                    a.add_edge(s, t);
-                }
-            }
-        }
-    }
-    // Start states: symbol successors of the initial configuration (0,0).
-    for t in targets_of((0, 0)) {
-        if let azoo_core::ElementKind::Ste { start, .. } = &mut a.element_mut(t).kind {
-            *start = StartKind::AllInput;
-        }
-    }
-    // The uniform (i, e) grid creates some configurations no path can
-    // reach (e.g. high-edit cells next to the start); prune them.
-    azoo_passes::remove_dead(&a)
-}
-
 /// Builds the full benchmark: `filters` filters over random DNA patterns,
 /// plus the standard random-DNA input.
 pub fn build(params: &LevenshteinParams) -> (Automaton, Vec<u8>) {
     let mut a = Automaton::new();
     for i in 0..params.filters {
         let pattern = dna::random_dna(params.seed ^ (i as u64 + 1), params.length);
-        let f = levenshtein_filter(&pattern, params.distance, i as u32);
+        let (f, _) = fuzzy_from_bytes(
+            &pattern,
+            params.distance,
+            EditProfile::LEVENSHTEIN,
+            i as u32,
+        )
+        .expect("distance below pattern length");
         a.append(&f);
     }
     let input = dna::random_dna(params.seed ^ 0xFFFF_0002, params.input_len);
@@ -144,6 +70,10 @@ pub fn build(params: &LevenshteinParams) -> (Automaton, Vec<u8>) {
 mod tests {
     use super::*;
     use azoo_engines::{CollectSink, Engine, NfaEngine};
+
+    fn mesh(pattern: &[u8], d: usize, profile: EditProfile) -> Automaton {
+        fuzzy_from_bytes(pattern, d, profile, 0).unwrap().0
+    }
 
     /// Sellers' algorithm: offsets where some stream suffix is within
     /// edit distance d of the pattern.
@@ -171,7 +101,7 @@ mod tests {
     fn filter_agrees_with_sellers_dp() {
         let pattern = b"ACGTTGA";
         for d in 1..4 {
-            let a = levenshtein_filter(pattern, d, 0);
+            let a = mesh(pattern, d, EditProfile::LEVENSHTEIN);
             a.validate().unwrap();
             let input = dna::random_dna(17, 300);
             let mut engine = NfaEngine::new(&a).unwrap();
@@ -186,7 +116,7 @@ mod tests {
 
     #[test]
     fn detects_each_edit_kind() {
-        let a = levenshtein_filter(b"ACGTACGT", 1, 0);
+        let a = mesh(b"ACGTACGT", 1, EditProfile::LEVENSHTEIN);
         let mut engine = NfaEngine::new(&a).unwrap();
         for (mutated, kind) in [
             (&b"ACGTACGT"[..], "exact"),
@@ -205,7 +135,7 @@ mod tests {
 
     #[test]
     fn two_edits_not_detected_at_d1() {
-        let a = levenshtein_filter(b"AAAACCCCGGGG", 1, 0);
+        let a = mesh(b"AAAACCCCGGGG", 1, EditProfile::LEVENSHTEIN);
         let mut engine = NfaEngine::new(&a).unwrap();
         let mut sink = CollectSink::new();
         // Two substitutions, far apart.
@@ -216,8 +146,8 @@ mod tests {
     #[test]
     fn edge_density_exceeds_hamming() {
         // Table I: Levenshtein meshes are much denser than Hamming.
-        let lev = levenshtein_filter(&dna::random_dna(2, 19), 3, 0);
-        let ham = crate::hamming::hamming_filter(&dna::random_dna(2, 18), 3, 0);
+        let lev = mesh(&dna::random_dna(2, 19), 3, EditProfile::LEVENSHTEIN);
+        let ham = mesh(&dna::random_dna(2, 18), 3, EditProfile::HAMMING);
         let lev_density = lev.edge_count() as f64 / lev.state_count() as f64;
         let ham_density = ham.edge_count() as f64 / ham.state_count() as f64;
         assert!(

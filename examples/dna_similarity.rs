@@ -6,8 +6,8 @@
 //! Run with: `cargo run --release --example dna_similarity`
 
 use automatazoo::engines::{CollectSink, CountSink, Engine, NfaEngine};
+use automatazoo::fuzzy::{fuzzy_from_bytes, EditProfile};
 use automatazoo::workloads::dna;
-use automatazoo::zoo::{hamming, levenshtein};
 
 fn main() {
     // A guide pattern and a genome with near-matches planted.
@@ -25,8 +25,8 @@ fn main() {
     println!("genome: {} bp, planted sites at {offsets:?}", genome.len());
 
     // Hamming filter (substitutions only) vs Levenshtein (also indels).
-    let ham = hamming::hamming_filter(&guide, 2, 0);
-    let lev = levenshtein::levenshtein_filter(&guide, 2, 0);
+    let (ham, _) = fuzzy_from_bytes(&guide, 2, EditProfile::HAMMING, 0).expect("2 < 24");
+    let (lev, _) = fuzzy_from_bytes(&guide, 2, EditProfile::LEVENSHTEIN, 0).expect("2 < 24");
     println!(
         "\nhamming mesh: {} states / {} edges; levenshtein mesh: {} states / {} edges",
         ham.state_count(),
@@ -56,7 +56,7 @@ fn main() {
         let trials = 5;
         for t in 0..trials {
             let pattern = dna::random_dna(100 + t, l);
-            let f = hamming::hamming_filter(&pattern, 2, 0);
+            let (f, _) = fuzzy_from_bytes(&pattern, 2, EditProfile::HAMMING, 0).expect("2 < l");
             let mut engine = NfaEngine::new(&f).expect("valid");
             let mut sink = CountSink::new();
             engine.scan(&input, &mut sink);
