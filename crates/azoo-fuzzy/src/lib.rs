@@ -42,8 +42,8 @@ use azoo_core::{Automaton, ElementKind, Port, StartKind, StateId, SymbolClass};
 
 /// Largest `max_edits` accepted by the serve protocol and the oracle
 /// generator. The core constructors accept any `edits < pattern_len`;
-/// this cap is the *wire-level* bound (it must fit the two fuzz bits of
-/// the AZDB flags byte) and the range the acceptance campaign certifies.
+/// this cap is the *wire-level* bound and the range the acceptance
+/// campaign certifies.
 pub const MAX_EDITS: u8 = 3;
 
 /// Longest supported pattern, in symbol positions. The mesh holds at

@@ -13,7 +13,7 @@
 //! Options:
 //!   --scale S       benchmark scale: tiny (default) | small | full
 //!   --reduce        run the reduction tier first and lint the reduced
-//!                   automaton (what `--reduce` compile paths serve)
+//!                   automaton (what a reduce-then-compile path serves)
 //!   --json          machine-readable JSON report on stdout
 //!   --allow RULE    suppress a rule (repeatable)
 //!   --deny RULE     promote a rule to Error (repeatable)
@@ -183,7 +183,7 @@ fn run() -> i32 {
         targets.extend(BenchmarkId::ALL.into_iter().map(Target::Bench));
     }
 
-    // With --reduce, lint what the reduction-tier compile paths would
+    // With --reduce, lint what a reduce-then-compile path would
     // actually serve. Invalid machines are linted as-is: the reduction
     // passes assume well-formed input, and the validation findings are
     // the interesting diagnostics anyway.

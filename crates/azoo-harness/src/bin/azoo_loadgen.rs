@@ -10,7 +10,6 @@
 //!              [--smoke]           CI preset: tiny scale, 2 conns x 8 sessions
 //!              [--out PATH]        also write the result JSON to PATH
 //!              [--no-shutdown]     leave the server running on exit
-//!              [--reduce]          compile databases through the reduction tier
 //! ```
 //!
 //! Sessions replay the suite's Snort and ClamAV corpora
@@ -69,10 +68,9 @@ fn main() {
     let chunk = positive_arg(&args, "--chunk", 4096);
     let out = arg_value(&args, "--out");
 
-    let reduce = flag_present(&args, "--reduce");
     let workloads: Vec<Arc<Workload>> = [BenchmarkId::Snort, BenchmarkId::ClamAv]
         .into_iter()
-        .map(|id| Arc::new(build_workload(id, scale, reduce)))
+        .map(|id| Arc::new(build_workload(id, scale)))
         .collect();
     eprintln!(
         "azoo-loadgen: {connections} connections x {sessions} sessions, \
@@ -188,13 +186,9 @@ fn main() {
     eprintln!("azoo-loadgen: OK — {total_bytes} bytes, {total_reports} reports, {elapsed:.2}s");
 }
 
-fn build_workload(id: BenchmarkId, scale: Scale, reduce: bool) -> Workload {
+fn build_workload(id: BenchmarkId, scale: Scale) -> Workload {
     let bench = id.build(scale);
-    let config = DbConfig {
-        reduce,
-        ..DbConfig::default()
-    };
-    let db = Db::compile(bench.automaton, config)
+    let db = Db::compile(bench.automaton, DbConfig::default())
         .unwrap_or_else(|e| fatal(&format!("{} does not compile: {e}", id.name())));
     // Local block scan = ground truth for every session on this corpus.
     let mut engine = db.checkout();

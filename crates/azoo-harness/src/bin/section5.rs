@@ -8,24 +8,25 @@
 //! extreme outlier responsible for over half of all reports) cuts a
 //! further ~2x.
 //!
-//! Usage: `section5 [--scale tiny|small|full] [--threads N] [--prefilter]
-//! [--metrics-json PATH]`
+//! Usage: `section5 [--scale tiny|small|full] [--threads N] [--metrics-json PATH]`
 //!
 //! `--metrics-json` exports the three ruleset scans as feeds in the
 //! `azoo-serve-metrics-v1` schema shared with the serve binaries.
 //!
-//! With `--threads N` the rulesets are scanned by the multi-threaded
-//! [`ParallelScanner`]; with `--prefilter` the scan runs behind the
-//! literal-prefilter engine (per shard when threaded). The report stream
-//! (and thus every number in the table) is identical in every mode.
+//! Each ruleset is scanned by the engine the server would pick,
+//! [`select_session_engine_threaded`]: the portfolio's tier at
+//! `--threads 1`, the multi-threaded [`ParallelScanner`] above. The
+//! report stream (and thus every number in the table) is identical at
+//! every thread count.
+//!
+//! [`ParallelScanner`]: azoo_engines::ParallelScanner
 
 #![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used)]
 
-use azoo_engines::{CollectSink, Engine, NfaEngine, ParallelScanner, PrefilterEngine};
+use azoo_engines::{select_session_engine_threaded, CollectSink};
 use azoo_harness::{
-    flag_present, fmt_count, positive_arg, scale_from_args, time_scan_with, write_metrics_json,
-    Table,
+    fmt_count, positive_arg, scale_from_args, time_scan_with, write_metrics_json, Table,
 };
 use azoo_serve::MetricsRegistry;
 use azoo_workloads::network::{pcap_like, PcapConfig};
@@ -36,7 +37,6 @@ fn main() {
     let scale = scale_from_args();
     let args: Vec<String> = std::env::args().collect();
     let threads = positive_arg(&args, "--threads", 1);
-    let prefilter = flag_present(&args, "--prefilter");
     let (n_rules, input_len) = match scale {
         Scale::Tiny => (400, 1 << 16),
         Scale::Small => (1200, 1 << 18),
@@ -44,9 +44,8 @@ fn main() {
     };
     println!(
         "== Section V: Snort rule filtering (scale: {scale:?}, {n_rules} rules, \
-         {input_len}-byte PCAP-like stream, {threads} scan thread{}{}) ==\n",
-        if threads == 1 { "" } else { "s" },
-        if prefilter { ", prefilter on" } else { "" }
+         {input_len}-byte PCAP-like stream, {threads} scan thread{}) ==\n",
+        if threads == 1 { "" } else { "s" }
     );
     let rules = generate_ruleset(0x5210, n_rules);
     let input = pcap_like(
@@ -75,16 +74,8 @@ fn main() {
     for (name, no_buffer, no_isdataat) in stages {
         let kept = filter_rules(&rules, no_buffer, no_isdataat);
         let ruleset = compile_rules(&kept);
-        let mut engine: Box<dyn Engine> = if threads > 1 {
-            Box::new(
-                ParallelScanner::with_prefilter(&ruleset.automaton, threads, prefilter)
-                    .expect("valid"),
-            )
-        } else if prefilter {
-            Box::new(PrefilterEngine::new(&ruleset.automaton).expect("valid"))
-        } else {
-            Box::new(NfaEngine::new(&ruleset.automaton).expect("valid"))
-        };
+        let (_, mut engine) =
+            select_session_engine_threaded(&ruleset.automaton, threads).expect("valid");
         let mut sink = CollectSink::new();
         let nanos = (time_scan_with(engine.as_mut(), &input, &mut sink) * 1e9) as u64;
         let reports = sink.reports().len();

@@ -4,23 +4,27 @@
 //! compression factor, and the dynamic active set measured with the
 //! VASim-equivalent engine on the standard input.
 //!
-//! Usage: `table1 [--scale tiny|small|full] [--profile-bytes N] [--threads N] [--prefilter] [--reduce]`
+//! Usage: `table1 [--scale tiny|small|full] [--profile-bytes N] [--threads N] [--reduce]`
 //!
-//! The `MB/s` column times an NFA scan over the profile window — with
-//! `--threads N` it uses the sharding/chunking [`ParallelScanner`]
-//! instead, whose report stream is identical. `--prefilter` routes the
-//! timed scan through the literal-prefilter engine (per shard when
-//! threaded); reports stay byte-identical. `--reduce` computes the
+//! The `MB/s` column times one cold scan over the profile window on the
+//! engine the server would pick:
+//! [`select_session_engine_threaded`] with `--threads N` (the
+//! portfolio's tier at 1, the sharding [`ParallelScanner`] above). It
+//! therefore measures the selected tier, not the NFA: a row whose tier
+//! is slower than a simpler one (a lazy DFA still filling its cache,
+//! say) shows the selector's regret. `--reduce` computes the
 //! `Compr`/`CmprF` columns with the full reduction tier
 //! (quotient + residual fold) instead of prefix merging alone.
 //!
 //! Paper reference values (states / active set) are printed alongside for
 //! the rows the paper reports.
+//!
+//! [`ParallelScanner`]: azoo_engines::ParallelScanner
 
 #![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used)]
 
-use azoo_engines::{Engine, NfaEngine, NullSink, ParallelScanner, PrefilterEngine};
+use azoo_engines::{select_session_engine_threaded, NfaEngine, NullSink};
 use azoo_harness::{flag_present, fmt_count, positive_arg, scale_from_args, time_scan, Table};
 use azoo_passes::merge_prefixes;
 use azoo_zoo::{BenchmarkId, Scale};
@@ -65,14 +69,12 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let profile_bytes = positive_arg(&args, "--profile-bytes", 16_384);
     let threads = positive_arg(&args, "--threads", 1);
-    let prefilter = flag_present(&args, "--prefilter");
     let reduce = flag_present(&args, "--reduce");
     println!(
         "== Table I: AutomataZoo benchmark statistics (scale: {scale:?}, \
          active set over {profile_bytes} input symbols, {threads} scan \
-         thread{}{}{}) ==\n",
+         thread{}{}) ==\n",
         if threads == 1 { "" } else { "s" },
-        if prefilter { ", prefilter on" } else { "" },
         if reduce {
             ", compression via reduction tier"
         } else {
@@ -108,16 +110,8 @@ fn main() {
         let mut sink = NullSink::new();
         let window = bench.input.len().min(profile_bytes);
         let profile = engine.scan_profiled(&bench.input[..window], &mut sink);
-        let mut scan_engine: Box<dyn Engine> = if threads > 1 {
-            Box::new(
-                ParallelScanner::with_prefilter(&bench.automaton, threads, prefilter)
-                    .expect("valid benchmark"),
-            )
-        } else if prefilter {
-            Box::new(PrefilterEngine::new(&bench.automaton).expect("valid benchmark"))
-        } else {
-            Box::new(engine)
-        };
+        let (_, mut scan_engine) =
+            select_session_engine_threaded(&bench.automaton, threads).expect("valid benchmark");
         let (_, mbps) = time_scan(scan_engine.as_mut(), &bench.input[..window]);
         let (paper_states, paper_as) = paper_values(id);
         let scale_note = if scale == Scale::Full { "" } else { "~" };

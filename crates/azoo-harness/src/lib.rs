@@ -22,22 +22,21 @@
 //!
 //! All table/figure binaries accept `--scale tiny|small|full` (default `small`);
 //! `table1`, `table4`, `section5`, and `ablation` also accept
-//! `--threads N` to scan with the multi-threaded [`ParallelScanner`]
-//! (default 1 in `table1` and `section5`, the machine's cores in
-//! `table4`, capped at 8 in `ablation`). Every numeric flag — `--threads`,
-//! `table1 --profile-bytes`, `table3 --filters`, and `azoo-loadgen
-//! --connections/--sessions/--chunk` — is read by [`positive_arg`]: zero
-//! or a non-number prints a usage line and exits 2, as an unknown
-//! `--scale` does. `table1`, `table4`, and
-//! `section5` additionally accept `--prefilter` to route the timed
-//! scans through the literal-prefilter engine
-//! ([`PrefilterEngine`] single-threaded,
-//! [`ParallelScanner::with_prefilter`] with `--threads N`); the
-//! report stream is byte-identical either way.
+//! `--threads N` (default 1 in `table1` and `section5`, the machine's
+//! cores in `table4`, capped at 8 in `ablation`). Every numeric flag —
+//! `--threads`, `table1 --profile-bytes`, `table3 --filters`, and
+//! `azoo-loadgen --connections/--sessions/--chunk` — is read by
+//! [`positive_arg`]: zero or a non-number prints a usage line and exits
+//! 2, as an unknown `--scale` does. `table1` and `section5` scan on the
+//! engine the server would pick,
+//! [`select_session_engine_threaded`]`(a, threads)`: the portfolio's
+//! tier at one thread, the [`ParallelScanner`] above; the report stream
+//! is byte-identical at every thread count. `table4` keeps one row per
+//! engine; its `--prefilter` flag adds the literal-prefilter row and
+//! gates the parallel row's shards behind the prefilter.
 //!
 //! [`ParallelScanner`]: azoo_engines::ParallelScanner
-//! [`ParallelScanner::with_prefilter`]: azoo_engines::ParallelScanner::with_prefilter
-//! [`PrefilterEngine`]: azoo_engines::PrefilterEngine
+//! [`select_session_engine_threaded`]: azoo_engines::select_session_engine_threaded
 
 #![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used)]

@@ -15,8 +15,8 @@
 //!   quotient cannot see — e.g. a literal chain shadowed by a
 //!   wider-class chain with the same report code.
 //!
-//! [`reduce`] iterates both to a fixpoint; engines and azoo-serve apply
-//! it behind their `--reduce` flags.
+//! [`reduce`] iterates both to a fixpoint; `azoo-lint` and `table1`
+//! apply it behind their `--reduce` flags.
 //!
 //! # Why merging is sound here
 //!

@@ -1,9 +1,11 @@
 //! Compiled-database artifacts and the shared in-memory cache.
 //!
 //! A [`Db`] is the unit a serving deployment distributes: one automaton,
-//! compiled once through the engine portfolio, plus the configuration
-//! that fixes how client bytes reach it (worker threads, input map). Its
-//! serialized form is versioned and self-verifying:
+//! compiled once through the engine portfolio, plus the edit budget it
+//! was compiled at. Every served machine reads raw client bytes: the
+//! paper's input transformations (16-bit widening, 8-striding) are
+//! applied when the zoo builds the benchmark, not when bytes are fed.
+//! Its serialized form is versioned and self-verifying:
 //!
 //! ```text
 //! offset  size  field
@@ -11,37 +13,30 @@
 //! 4       4     format version (u32 LE) — DB_FORMAT_VERSION
 //! 8       4     content-hash scheme version (u32 LE) — HASH_VERSION
 //! 12      8     automaton content hash (u64 LE)
-//! 20      1     input map (0 identity, 1 stride8, 2 widen)
-//! 21      1     flags (bit 0: reduced; bit 1: fuzzy; bits 4-5: edits)
-//! 22      2     engine worker threads (u16 LE)
-//! 24      4     payload length (u32 LE)
-//! 28      n     payload: MNRL JSON of the automaton
+//! 20      1     edit budget (0..=MAX_EDITS)
+//! 21      4     payload length (u32 LE)
+//! 25      n     payload: MNRL JSON of the automaton
 //! ```
 //!
-//! When [`DbConfig::reduce`] is set, [`Db::compile`] runs the
-//! reduction tier (`azoo_passes::reduce`) *before* hashing and
+//! A non-zero [`DbConfig::max_edits`] makes [`Db::compile`] replace each
+//! literal chain of the source machine with its Levenshtein mesh
+//! (`azoo_fuzzy::fuzzify`, under the protocol's pinned
+//! [`EditProfile::LEVENSHTEIN`] cost model) *before* hashing and
 //! serializing, so the stored content hash and payload describe the
-//! machine that actually serves traffic — a reduced artifact is
-//! self-contained and [`Db::deserialize`] never re-reduces. The flags
-//! byte records the provenance and keeps the cache key distinct from
-//! an unreduced compile of the same source automaton.
-//!
-//! [`DbConfig::max_edits`] works the same way for approximate matching:
-//! a non-zero edit budget makes `compile` replace each literal chain of
-//! the source machine with its Levenshtein mesh (`azoo_fuzzy::fuzzify`,
-//! under the protocol's pinned [`EditProfile::LEVENSHTEIN`] cost model)
-//! before any reduction, hashing or serialization. The artifact stores
-//! the *mesh*; the flags byte sets `FLAG_FUZZY` and carries the edit
-//! budget in bits 4-5, and a header whose fuzzy bit and edit field
-//! disagree (fuzzy with zero edits, or edits without the bit) is
-//! [`DbError::BadFlags`] — the same typed rejection as unknown bits.
+//! machine that actually serves traffic and [`Db::deserialize`] never
+//! re-fuzzifies. The edit-budget byte records the provenance and keeps
+//! the cache key distinct from an exact compile of the same source; a
+//! budget above [`MAX_EDITS`] is [`DbError::BadEdits`]. To serve a
+//! reduced machine, run `azoo_passes::reduce` before `compile`: the
+//! reduced machine has its own content hash, hence its own cache key.
 //!
 //! Load rules, in check order: wrong magic → [`DbError::BadMagic`];
 //! any header or payload shorter than declared → [`DbError::Truncated`];
 //! other format or hash-scheme version → [`DbError::VersionMismatch`]
-//! (old artifacts are *misses*, recompile and re-publish); stored
-//! content hash ≠ hash recomputed over the decoded automaton →
-//! [`DbError::HashMismatch`] (corruption or tampering — never served).
+//! (old artifacts are *misses*, recompile and re-publish); edit budget
+//! above [`MAX_EDITS`] → [`DbError::BadEdits`]; stored content hash ≠
+//! hash recomputed over the decoded automaton → [`DbError::HashMismatch`]
+//! (corruption or tampering — never served).
 //! Every error is typed; no load path panics. The [`DbCache`] hit path
 //! upholds the same guarantee by fingerprinting the raw artifact bytes:
 //! bytes that differ from the verified artifact take the full load path
@@ -52,66 +47,29 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use azoo_core::{content_hash, mnrl, Automaton, CoreError, HASH_VERSION};
-use azoo_engines::{
-    select_session_engine, select_session_engine_threaded, EngineChoice, EngineError, SessionEngine,
-};
+use azoo_engines::{select_session_engine, EngineChoice, EngineError, SessionEngine};
 use azoo_fuzzy::{fuzzify, EditProfile, FuzzyError, MAX_EDITS};
-use azoo_passes::InputMap;
 use azoo_sync::{ranks, sched, OrderedMutex};
 
-/// Current artifact format version. Version 3 added the fuzzy flag bits
-/// (bit 1 + edit budget in bits 4-5); version-2 artifacts are typed
-/// misses, recompile and re-publish.
-pub const DB_FORMAT_VERSION: u32 = 3;
+/// Current artifact format version. Artifacts of any other version are
+/// typed misses: recompile and re-publish.
+pub const DB_FORMAT_VERSION: u32 = 4;
 
 const DB_MAGIC: [u8; 4] = *b"AZDB";
-const HEADER_LEN: usize = 28;
-
-/// Header flag bit: the payload was compiled with the reduction tier.
-const FLAG_REDUCED: u8 = 0x01;
-
-/// Header flag bit: the payload is a Levenshtein mesh compiled with a
-/// non-zero [`DbConfig::max_edits`]; the budget lives in bits 4-5.
-const FLAG_FUZZY: u8 = 0x02;
-
-/// Bit position of the edit budget inside the flags byte.
-const FLAG_EDITS_SHIFT: u32 = 4;
-
-/// Mask of the edit-budget field (two bits hold `MAX_EDITS = 3`).
-const FLAG_EDITS_MASK: u8 = 0x30;
+const HEADER_LEN: usize = 25;
 
 /// Recycled engines kept per database; checkouts past this bound fall
 /// back to cloning the prototype (bounded memory beats unbounded reuse).
 const POOL_CAP: usize = 1024;
 
-/// How a [`Db`] presents input to its machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What a client can ask of a [`Db`]: the edit budget it matches at.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DbConfig {
-    /// Input expansion applied to client bytes before they reach the
-    /// (post-pass) machine; report offsets are in post-map coordinates.
-    pub input_map: InputMap,
-    /// Engine worker threads; >1 selects the parallel scanner.
-    pub threads: usize,
-    /// Run the reduction tier (`azoo_passes::reduce`) at compile time.
-    /// The artifact then stores the *reduced* machine — hash, payload
-    /// and flags byte all describe post-reduction state.
-    pub reduce: bool,
     /// Approximate-matching edit budget, `0..=MAX_EDITS`. Non-zero makes
     /// [`Db::compile`] fuzzify every literal chain of the source machine
-    /// into its Levenshtein mesh before reduction; the artifact stores
-    /// the mesh and flags its provenance, so loading never re-fuzzifies.
+    /// into its Levenshtein mesh; the artifact stores the mesh and its
+    /// budget, so loading never re-fuzzifies.
     pub max_edits: u8,
-}
-
-impl Default for DbConfig {
-    fn default() -> Self {
-        DbConfig {
-            input_map: InputMap::Identity,
-            threads: 1,
-            reduce: false,
-            max_edits: 0,
-        }
-    }
 }
 
 /// Typed artifact-load and compile failures.
@@ -136,12 +94,7 @@ pub enum DbError {
         /// Hash recomputed from the decoded automaton.
         computed: u64,
     },
-    /// Unknown input-map tag byte.
-    BadInputMap(u8),
-    /// Unknown bits set in the header flags byte, or the fuzzy bit and
-    /// the edit-budget field disagree.
-    BadFlags(u8),
-    /// Requested edit budget above [`azoo_fuzzy::MAX_EDITS`].
+    /// Requested or stored edit budget above [`azoo_fuzzy::MAX_EDITS`].
     BadEdits(u8),
     /// No cached database under this key.
     UnknownKey(u64),
@@ -166,8 +119,6 @@ impl std::fmt::Display for DbError {
                 f,
                 "content hash mismatch: stored {stored:#018x}, computed {computed:#018x}"
             ),
-            DbError::BadInputMap(tag) => write!(f, "unknown input-map tag {tag}"),
-            DbError::BadFlags(flags) => write!(f, "bad header flag bits {flags:#04x}"),
             DbError::BadEdits(edits) => {
                 write!(f, "edit budget {edits} exceeds the maximum of {MAX_EDITS}")
             }
@@ -243,43 +194,29 @@ impl std::fmt::Debug for Db {
 impl Db {
     /// Compiles `automaton` under `config` through the streaming engine
     /// portfolio. With [`DbConfig::max_edits`] non-zero, the machine's
-    /// literal chains are fuzzified into Levenshtein meshes first; with
-    /// [`DbConfig::reduce`] set, the reduction tier then runs, and the
-    /// database (hash, payload, engine) is built from the transformed
-    /// machine.
+    /// literal chains are fuzzified into Levenshtein meshes first, and
+    /// the database (hash, payload, engine) is built from the mesh.
     ///
     /// # Errors
     ///
     /// [`DbError::Engine`] when validation or compilation fails,
-    /// [`DbError::BadEdits`] for a budget above the flag encoding's
-    /// [`MAX_EDITS`], [`DbError::Fuzzy`] when the machine cannot be
-    /// fuzzified.
+    /// [`DbError::BadEdits`] for a budget above [`MAX_EDITS`],
+    /// [`DbError::Fuzzy`] when the machine cannot be fuzzified.
     pub fn compile(automaton: Automaton, config: DbConfig) -> Result<Arc<Db>, DbError> {
         if config.max_edits > MAX_EDITS {
             return Err(DbError::BadEdits(config.max_edits));
         }
-        let automaton = if config.max_edits > 0 || config.reduce {
-            // Validate before transforming: the passes assume a
-            // well-formed machine, and a broken input should surface
-            // as the usual typed error, not a pass artifact.
+        let automaton = if config.max_edits > 0 {
+            // Validate before transforming: fuzzify assumes a well-formed
+            // machine, and a broken input should surface as the usual
+            // typed error, not a pass artifact.
             automaton.validate()?;
-            let fuzzed = if config.max_edits > 0 {
-                // Fuzzify before reducing: chain extraction needs the
-                // published literal chains, not their reduced quotient.
-                fuzzify(
-                    &automaton,
-                    config.max_edits as usize,
-                    EditProfile::LEVENSHTEIN,
-                )?
-                .0
-            } else {
-                automaton
-            };
-            if config.reduce {
-                azoo_passes::reduce(&fuzzed).0
-            } else {
-                fuzzed
-            }
+            fuzzify(
+                &automaton,
+                config.max_edits as usize,
+                EditProfile::LEVENSHTEIN,
+            )?
+            .0
         } else {
             automaton
         };
@@ -287,16 +224,12 @@ impl Db {
     }
 
     /// Builds the database around `automaton` as-is — shared tail of
-    /// [`Db::compile`] (post-reduction) and [`Db::deserialize`] (whose
-    /// payload already is the served machine; re-reducing would break
+    /// [`Db::compile`] (post-fuzzify) and [`Db::deserialize`] (whose
+    /// payload already is the served machine; re-fuzzifying would break
     /// the stored hash's bond with the payload).
     fn finish(automaton: Automaton, config: DbConfig) -> Result<Arc<Db>, DbError> {
         let hash = content_hash(&automaton);
-        let (choice, proto) = if config.threads > 1 {
-            select_session_engine_threaded(&automaton, config.threads)?
-        } else {
-            select_session_engine(&automaton)?
-        };
+        let (choice, proto) = select_session_engine(&automaton)?;
         Ok(Arc::new(Db {
             automaton,
             config,
@@ -313,19 +246,15 @@ impl Db {
         self.hash
     }
 
-    /// Cache key: content hash mixed with the serving configuration, so
-    /// the same machine under a different input map or thread count is a
-    /// distinct cache entry.
+    /// Cache key: content hash mixed with the edit budget, so the same
+    /// stored machine under a different budget is a distinct cache entry.
     pub fn cache_key(&self) -> u64 {
         Self::mix_key(self.hash, self.config)
     }
 
     fn mix_key(hash: u64, config: DbConfig) -> u64 {
-        let tag = (u64::from(flags_byte(config)) << 40)
-            | (u64::from(input_map_tag(config.input_map)) << 32)
-            | config.threads as u64;
         // splitmix64-style finalizer, matching azoo-core's mixer.
-        let mut x = hash ^ tag.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut x = hash ^ u64::from(config.max_edits).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         x ^= x >> 30;
         x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
         x ^= x >> 27;
@@ -359,9 +288,7 @@ impl Db {
         out.extend_from_slice(&DB_FORMAT_VERSION.to_le_bytes());
         out.extend_from_slice(&HASH_VERSION.to_le_bytes());
         out.extend_from_slice(&self.hash.to_le_bytes());
-        out.push(input_map_tag(self.config.input_map));
-        out.push(flags_byte(self.config));
-        out.extend_from_slice(&(self.config.threads.min(u16::MAX as usize) as u16).to_le_bytes());
+        out.push(self.config.max_edits);
         out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         out.extend_from_slice(payload);
         out
@@ -374,7 +301,7 @@ impl Db {
     /// # Errors
     ///
     /// [`DbError::BadMagic`], [`DbError::Truncated`],
-    /// [`DbError::VersionMismatch`], or [`DbError::BadInputMap`].
+    /// [`DbError::VersionMismatch`], or [`DbError::BadEdits`].
     pub fn peek_key(bytes: &[u8]) -> Result<u64, DbError> {
         let (hash, config, _) = parse_header(bytes)?;
         Ok(Self::mix_key(hash, config))
@@ -399,9 +326,9 @@ impl Db {
                 computed,
             });
         }
-        // The payload *is* the serving machine: for a reduced artifact,
-        // reduction already ran at compile time. Going through `finish`
-        // (not `compile`) keeps the load path from reducing again, which
+        // The payload *is* the serving machine: for a fuzzy artifact, the
+        // mesh was built at compile time. Going through `finish` (not
+        // `compile`) keeps the load path from fuzzifying again, which
         // would desynchronize the verified hash from the served states.
         Self::finish(automaton, config)
     }
@@ -429,34 +356,6 @@ impl Db {
     /// Executors currently parked on the free list.
     pub fn pooled(&self) -> usize {
         self.pool.lock().len()
-    }
-}
-
-fn flags_byte(config: DbConfig) -> u8 {
-    let mut flags = 0;
-    if config.reduce {
-        flags |= FLAG_REDUCED;
-    }
-    if config.max_edits > 0 {
-        flags |= FLAG_FUZZY | ((config.max_edits << FLAG_EDITS_SHIFT) & FLAG_EDITS_MASK);
-    }
-    flags
-}
-
-fn input_map_tag(map: InputMap) -> u8 {
-    match map {
-        InputMap::Identity => 0,
-        InputMap::Stride8 => 1,
-        InputMap::Widen => 2,
-    }
-}
-
-fn input_map_from_tag(tag: u8) -> Result<InputMap, DbError> {
-    match tag {
-        0 => Ok(InputMap::Identity),
-        1 => Ok(InputMap::Stride8),
-        2 => Ok(InputMap::Widen),
-        other => Err(DbError::BadInputMap(other)),
     }
 }
 
@@ -495,32 +394,15 @@ fn parse_header(bytes: &[u8]) -> Result<(u64, DbConfig, &[u8]), DbError> {
     let mut hash_bytes = [0u8; 8];
     hash_bytes.copy_from_slice(&bytes[12..20]);
     let hash = u64::from_le_bytes(hash_bytes);
-    let input_map = input_map_from_tag(bytes[20])?;
-    let flags = bytes[21];
-    if flags & !(FLAG_REDUCED | FLAG_FUZZY | FLAG_EDITS_MASK) != 0 {
-        return Err(DbError::BadFlags(flags));
+    let max_edits = bytes[20];
+    if max_edits > MAX_EDITS {
+        return Err(DbError::BadEdits(max_edits));
     }
-    let max_edits = (flags & FLAG_EDITS_MASK) >> FLAG_EDITS_SHIFT;
-    // The fuzzy bit and the edit field encode one fact twice; an
-    // artifact where they disagree was not written by this serializer.
-    if (flags & FLAG_FUZZY != 0) != (max_edits > 0) {
-        return Err(DbError::BadFlags(flags));
-    }
-    let threads = u16::from_le_bytes([bytes[22], bytes[23]]) as usize;
-    let payload_len = le32(24) as usize;
+    let payload_len = le32(21) as usize;
     let payload = bytes
         .get(HEADER_LEN..HEADER_LEN + payload_len)
         .ok_or(DbError::Truncated)?;
-    Ok((
-        hash,
-        DbConfig {
-            input_map,
-            threads: threads.max(1),
-            reduce: flags & FLAG_REDUCED != 0,
-            max_edits,
-        },
-        payload,
-    ))
+    Ok((hash, DbConfig { max_edits }, payload))
 }
 
 /// Shared in-memory database cache, keyed by [`Db::cache_key`].
@@ -767,21 +649,11 @@ mod tests {
         ));
 
         let mut bad = good.clone();
-        bad[20] = 9;
-        assert_eq!(Db::deserialize(&bad).unwrap_err(), DbError::BadInputMap(9));
-
-        let mut bad = good.clone();
-        bad[21] = 0xCE; // unknown flag bits
-        assert_eq!(Db::deserialize(&bad).unwrap_err(), DbError::BadFlags(0xCE));
-
-        // Internally inconsistent fuzzy flags: the fuzzy bit without an
-        // edit budget, and an edit budget without the bit.
-        let mut bad = good.clone();
-        bad[21] = 0x02;
-        assert_eq!(Db::deserialize(&bad).unwrap_err(), DbError::BadFlags(0x02));
-        let mut bad = good.clone();
-        bad[21] = 0x10;
-        assert_eq!(Db::deserialize(&bad).unwrap_err(), DbError::BadFlags(0x10));
+        bad[20] = MAX_EDITS + 1; // edit budget
+        assert_eq!(
+            Db::deserialize(&bad).unwrap_err(),
+            DbError::BadEdits(MAX_EDITS + 1)
+        );
 
         assert_eq!(
             Db::deserialize(&good[..10]).unwrap_err(),
@@ -795,68 +667,10 @@ mod tests {
         assert_eq!(Db::deserialize(b"nope").unwrap_err(), DbError::BadMagic);
     }
 
-    /// Two identical report chains — the reduction tier folds them.
-    fn double_cat() -> Automaton {
-        let mut a = Automaton::new();
-        for _ in 0..2 {
-            let (_, last) = a.add_chain(
-                &[
-                    SymbolClass::from_byte(b'c'),
-                    SymbolClass::from_byte(b'a'),
-                    SymbolClass::from_byte(b't'),
-                ],
-                StartKind::AllInput,
-            );
-            a.set_report(last, 0);
-        }
-        a
-    }
-
-    #[test]
-    fn reduced_compile_stores_the_reduced_machine() {
-        let plain = Db::compile(double_cat(), DbConfig::default()).expect("compile");
-        let reduced = Db::compile(
-            double_cat(),
-            DbConfig {
-                reduce: true,
-                ..DbConfig::default()
-            },
-        )
-        .expect("compile reduced");
-
-        assert!(
-            reduced.automaton().state_count() < plain.automaton().state_count(),
-            "reduction must shrink the duplicated machine"
-        );
-        // The hash covers the machine that serves traffic, so the
-        // reduced artifact hashes differently and caches separately.
-        assert_ne!(reduced.content_hash(), plain.content_hash());
-        assert_ne!(reduced.cache_key(), plain.cache_key());
-
-        // Round trip: the payload already is the reduced machine, and
-        // the load path must accept it verbatim (no re-reduction).
-        let bytes = reduced.serialize();
-        let back = Db::deserialize(&bytes).expect("load reduced artifact");
-        assert!(back.config().reduce);
-        assert_eq!(back.content_hash(), reduced.content_hash());
-        assert_eq!(back.cache_key(), reduced.cache_key());
-        assert_eq!(
-            back.automaton().state_count(),
-            reduced.automaton().state_count()
-        );
-    }
-
     #[test]
     fn fuzzy_compile_stores_the_mesh_and_round_trips() {
         let plain = Db::compile(cat(), DbConfig::default()).expect("compile");
-        let fuzzy = Db::compile(
-            cat(),
-            DbConfig {
-                max_edits: 1,
-                ..DbConfig::default()
-            },
-        )
-        .expect("compile fuzzy");
+        let fuzzy = Db::compile(cat(), DbConfig { max_edits: 1 }).expect("compile fuzzy");
 
         assert!(
             fuzzy.automaton().state_count() > plain.automaton().state_count(),
@@ -877,9 +691,9 @@ mod tests {
         assert!(scan(&fuzzy) > 0);
 
         // The payload already is the mesh: the load path must accept it
-        // verbatim, never re-fuzzify, and keep the provenance flags.
+        // verbatim, never re-fuzzify, and keep the edit budget.
         let bytes = fuzzy.serialize();
-        assert_eq!(bytes[21], FLAG_FUZZY | (1 << FLAG_EDITS_SHIFT));
+        assert_eq!(bytes[20], 1);
         let back = Db::deserialize(&bytes).expect("load fuzzy artifact");
         assert_eq!(back.config().max_edits, 1);
         assert_eq!(back.content_hash(), fuzzy.content_hash());
@@ -890,14 +704,7 @@ mod tests {
         );
 
         // Every budget is a distinct artifact and a distinct cache key.
-        let deeper = Db::compile(
-            cat(),
-            DbConfig {
-                max_edits: 2,
-                ..DbConfig::default()
-            },
-        )
-        .expect("compile k=2");
+        let deeper = Db::compile(cat(), DbConfig { max_edits: 2 }).expect("compile k=2");
         assert_ne!(deeper.cache_key(), fuzzy.cache_key());
     }
 
@@ -907,8 +714,7 @@ mod tests {
             Db::compile(
                 cat(),
                 DbConfig {
-                    max_edits: MAX_EDITS + 1,
-                    ..DbConfig::default()
+                    max_edits: MAX_EDITS + 1
                 }
             )
             .unwrap_err(),
@@ -925,13 +731,7 @@ mod tests {
             branchy.set_report(t, 0);
         }
         assert!(matches!(
-            Db::compile(
-                branchy,
-                DbConfig {
-                    max_edits: 1,
-                    ..DbConfig::default()
-                }
-            ),
+            Db::compile(branchy, DbConfig { max_edits: 1 }),
             Err(DbError::Fuzzy(_))
         ));
     }

@@ -173,8 +173,6 @@ struct SessionInner {
     reports: Vec<Report>,
     phase: Phase,
     fed_bytes: u64,
-    /// Reusable input-map expansion buffer (unused under `Identity`).
-    map_buf: Vec<u8>,
 }
 
 /// Rank SERVE_SESSION: held across the scan and across engine check-in
@@ -305,15 +303,7 @@ impl ScanService {
             return Ok(found);
         }
         self.metrics.record_cache_miss();
-        let config = DbConfig {
-            max_edits,
-            // The base automaton is already post-reduction if the base
-            // artifact was; re-running the tier here would make the
-            // derived machine depend on load order.
-            reduce: false,
-            ..db.config()
-        };
-        let derived = Db::compile(db.automaton().clone(), config)?;
+        let derived = Db::compile(db.automaton().clone(), DbConfig { max_edits })?;
         self.cache.insert_under(key, derived.clone());
         Ok(derived)
     }
@@ -361,7 +351,6 @@ impl ScanService {
                 reports: Vec::new(),
                 phase: Phase::Streaming,
                 fed_bytes: 0,
-                map_buf: Vec::new(),
             },
         ));
         self.shards[shard_of(sid)].lock().insert(sid, inner);
@@ -462,16 +451,8 @@ impl ScanService {
             });
         }
 
-        // Admitted: expand through the input map and scan.
+        // Admitted: scan.
         let inner = &mut *inner;
-        let map = inner.db.config().input_map;
-        let bytes: &[u8] = if matches!(map, azoo_passes::InputMap::Identity) {
-            chunk
-        } else {
-            inner.map_buf.clear();
-            inner.map_buf.extend_from_slice(&map.post_input(chunk));
-            &inner.map_buf
-        };
         let before = inner.reports.len();
         let t0 = Instant::now();
         let Some(engine) = inner.engine.as_mut() else {
@@ -483,7 +464,7 @@ impl ScanService {
             release_global();
             return Err(ServeError::Cancelled(sid));
         };
-        engine.feed(bytes, eod, &mut inner.reports);
+        engine.feed(chunk, eod, &mut inner.reports);
         let nanos = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         let emitted = inner.reports.len() - before;
         inner.fed_bytes += len;

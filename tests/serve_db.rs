@@ -4,7 +4,7 @@
 //! the documented typed errors.
 
 use automatazoo::engines::CollectSink;
-use automatazoo::serve::{Db, DbConfig, DbError};
+use automatazoo::serve::{Db, DbConfig, DbError, DB_FORMAT_VERSION};
 use automatazoo::zoo::{BenchmarkId, Scale};
 
 fn session_reports(db: &Db, input: &[u8]) -> Vec<(u64, u32)> {
@@ -54,12 +54,10 @@ fn tampered_benchmark_artifacts_fail_typed() {
     let good = db.serialize();
 
     let mut newer = good.clone();
-    newer[4..8].copy_from_slice(&4u32.to_le_bytes()); // format version
+    newer[4..8].copy_from_slice(&(DB_FORMAT_VERSION + 1).to_le_bytes()); // format version
     match Db::deserialize(&newer) {
-        Err(DbError::VersionMismatch {
-            found: 4,
-            expected: 3,
-        }) => {}
+        Err(DbError::VersionMismatch { found, expected })
+            if found == DB_FORMAT_VERSION + 1 && expected == DB_FORMAT_VERSION => {}
         other => panic!("expected format VersionMismatch, got {other:?}"),
     }
 
@@ -78,5 +76,24 @@ fn tampered_benchmark_artifacts_fail_typed() {
     match Db::deserialize(&corrupt) {
         Err(DbError::HashMismatch { .. }) | Err(DbError::Core(_)) => {}
         other => panic!("expected HashMismatch or a parse error, got {other:?}"),
+    }
+}
+
+/// Every proper prefix of a real artifact is `Truncated`: no cut through
+/// the header or the payload reaches a later check (version, edit budget,
+/// content hash) or a panic.
+#[test]
+fn every_proper_prefix_is_truncated() {
+    let bench = BenchmarkId::FileCarving.build(Scale::Tiny);
+    let good = Db::compile(bench.automaton, DbConfig::default())
+        .expect("compile")
+        .serialize();
+    for n in 0..good.len() {
+        assert_eq!(
+            Db::deserialize(&good[..n]).unwrap_err(),
+            DbError::Truncated,
+            "prefix of {n} of {} bytes",
+            good.len()
+        );
     }
 }
