@@ -15,6 +15,11 @@
 //!   matches must contain a *required literal* are gated behind an
 //!   Aho–Corasick trigger and simulated only in a bounded window around
 //!   each candidate hit; everything else falls back to full simulation.
+//! * [`BitParallelEngine`] — the bit-vector tier for edit-distance
+//!   meshes: a machine whose every component rebuilds exactly as an
+//!   azoo-fuzzy Levenshtein or Hamming mesh runs one `u64` lane per
+//!   pattern, Myers' recurrence or Shift-Add, at a cost independent of
+//!   the mesh's active set.
 //! * [`ParallelScanner`] — a multi-threaded wrapper that shards the
 //!   automaton by connected component and (where a bounded overlap
 //!   window exists) chunks the input across workers, merging reports
@@ -45,6 +50,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used)]
+mod bitvec;
 mod lazy_dfa;
 mod literal;
 mod nfa;
@@ -55,6 +61,7 @@ mod select;
 mod sink;
 mod stream;
 
+pub use bitvec::BitParallelEngine;
 pub use lazy_dfa::LazyDfaEngine;
 pub use nfa::NfaEngine;
 pub use parallel::ParallelScanner;
@@ -116,6 +123,20 @@ pub enum EngineError {
     // Returned only by the `RetiredEngine` stand-in below.
     #[doc(hidden)]
     RetiredTier,
+    /// [`BitParallelEngine`]: the component containing this state does
+    /// not rebuild exactly as an edit-distance mesh.
+    NotAMesh(StateId),
+    /// [`BitParallelEngine`]: every component is a plain chain (a mesh
+    /// with no edit budget); chains belong to the other tiers.
+    NoEditBudget,
+    /// [`BitParallelEngine`]: the `component`-th mesh (in order of
+    /// smallest state id) cannot run on a lane.
+    LaneUnsupported {
+        /// Index of the mesh component.
+        component: usize,
+        /// Why it cannot.
+        reason: &'static str,
+    },
     /// The automaton failed core validation.
     Invalid(azoo_core::CoreError),
     /// A zero worker-thread count was requested from
@@ -130,6 +151,16 @@ impl std::fmt::Display for EngineError {
                 write!(f, "engine does not support counter element {id:?}")
             }
             EngineError::RetiredTier => write!(f, "engine tier was removed"),
+            EngineError::NotAMesh(id) => {
+                write!(
+                    f,
+                    "component containing {id:?} is not an edit-distance mesh"
+                )
+            }
+            EngineError::NoEditBudget => write!(f, "no component has an edit budget"),
+            EngineError::LaneUnsupported { component, reason } => {
+                write!(f, "mesh component {component}: {reason}")
+            }
             EngineError::Invalid(e) => write!(f, "invalid automaton: {e}"),
             EngineError::InvalidThreads => {
                 write!(f, "thread count must be positive")
@@ -153,14 +184,12 @@ impl From<azoo_core::CoreError> for EngineError {
     }
 }
 
-// Stand-in for the deleted bit-parallel and Sheng tiers, which the frozen
+// Stand-in for the deleted Sheng tier, which the frozen
 // azoo-perf/src/layers.rs still names; ROADMAP N1 deletes it.
 #[doc(hidden)]
 #[derive(Debug, Clone)]
 pub enum RetiredEngine {}
 
-#[doc(hidden)]
-pub type BitParallelEngine = RetiredEngine;
 #[doc(hidden)]
 pub type ShengEngine = RetiredEngine;
 

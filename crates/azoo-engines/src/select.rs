@@ -2,15 +2,17 @@
 //!
 //! Different benchmark shapes favour different engines (the core lesson
 //! of the paper's cross-engine experiments): counter-free automata of
-//! bounded size determinize well, rule sets gated by required literals
-//! run behind the prefilter, and counters or explosive subset
-//! construction require the sparse NFA engine.
+//! bounded size determinize well, edit-distance meshes run as bit-vector
+//! lanes, rule sets gated by required literals run behind the
+//! prefilter, and counters or explosive subset construction require the
+//! sparse NFA engine.
 //! [`select_session_engine`] encodes that portfolio policy.
 
 use azoo_core::{Automaton, ElementKind, Port};
 
 use crate::{
-    EngineError, LazyDfaEngine, NfaEngine, ParallelScanner, PrefilterEngine, SessionEngine,
+    BitParallelEngine, EngineError, LazyDfaEngine, NfaEngine, ParallelScanner, PrefilterEngine,
+    SessionEngine,
 };
 
 /// Minimum fraction of states a prefilter plan must cover before
@@ -21,12 +23,12 @@ const PREFILTER_COVERAGE_GATE: f64 = 0.5;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(clippy::manual_non_exhaustive)] // the hidden variants are shims, not markers
 pub enum EngineChoice {
-    // Never constructed: the frozen azoo-perf/src/layers.rs still matches
-    // on the deleted bit-parallel and Sheng tiers; ROADMAP N1 deletes both.
-    #[doc(hidden)]
+    /// The bit-vector engine for edit-distance meshes.
     BitParallel,
     /// The lazy-DFA engine.
     LazyDfa,
+    // Never constructed: the frozen azoo-perf/src/layers.rs still matches
+    // on the deleted Sheng tier; ROADMAP N1 deletes it.
     #[doc(hidden)]
     Sheng,
     /// The literal-prefilter engine (windowed simulation gated behind an
@@ -60,20 +62,21 @@ fn preflight(a: &Automaton) -> Result<(), EngineError> {
     }
 }
 
-/// Detects the layered edit-distance mesh shape `azoo-fuzzy` emits
-/// (and the zoo's Levenshtein/Hamming filters hand-build): counter-free,
-/// acyclic, and dominated by Σ / near-Σ error-track states. Returns the
-/// wide-class state count when the shape matches. Random Forest's
-/// feature-range chains match too: their classes are wide byte ranges.
+/// Detects the layered edit-distance mesh shape `azoo_passes::mesh`
+/// builds (for azoo-fuzzy and the zoo's Hamming, Levenshtein and CRISPR
+/// filters): counter-free, acyclic, and dominated by Σ / near-Σ
+/// error-track states. Returns the wide-class state count when the
+/// shape matches. Random Forest's feature-range chains match too: their
+/// classes are wide byte ranges.
 ///
 /// Subset construction over such a mesh enumerates the pattern's
 /// positions-×-edits antichains and blows up exponentially in the edit
-/// budget, while sparse simulation carries at most one active frontier
-/// per error layer — so the portfolio keeps these out of the DFA tier
-/// rather than letting the lazy DFA thrash its cache; the prefilter gate
-/// still decides between the prefilter and the NFA. The acyclic
-/// check keeps self-looping shapes (SeqMatch skip states, `.*` cores)
-/// out: those determinize fine.
+/// budget — so the portfolio keeps these out of the DFA tier rather than
+/// letting the lazy DFA thrash its cache. A machine of the shape runs on
+/// [`BitParallelEngine`] when every component rebuilds as a mesh;
+/// otherwise the prefilter gate decides between the prefilter and the
+/// sparse NFA. The acyclic check keeps self-looping shapes (SeqMatch
+/// skip states, `.*` cores) out: those determinize fine.
 fn fuzzy_layered_shape(a: &Automaton) -> Option<usize> {
     if a.counter_count() != 0 || a.state_count() == 0 {
         return None;
@@ -135,9 +138,13 @@ pub fn prefilter_gate(pf: &PrefilterEngine) -> f64 {
 ///
 /// 1. counter-free automata of bounded size that are not layered
 ///    edit-distance meshes → [`LazyDfaEngine`];
-/// 2. automata whose components mostly carry required literals →
+/// 2. mesh-shaped automata whose every component rebuilds exactly as a
+///    Levenshtein or Hamming mesh that fits a 64-bit lane →
+///    [`BitParallelEngine`];
+/// 3. automata whose components mostly carry required literals →
 ///    [`PrefilterEngine`] (admitted by [`prefilter_gate`]);
-/// 3. everything else (counters, huge NFAs, meshes) → [`NfaEngine`].
+/// 4. everything else (counters, huge NFAs, other mesh-shaped machines)
+///    → [`NfaEngine`].
 ///
 /// The boxed engine scans blocks, runs the
 /// [`StreamingEngine`](crate::StreamingEngine) feed protocol and
@@ -170,9 +177,10 @@ pub fn select_session_engine_explained(
     // Hamming filters, `??`-heavy signature sets) determinize explosively
     // — the subset automaton enumerates position-×-edit antichains — so
     // acyclic machines dominated by wide classes skip the DFA tier; Random
-    // Forest's range chains share the shape. The prefilter gate still
-    // gets a vote: signature sets carry required literals, fuzzy meshes
-    // and forests do not and end on the sparse NFA.
+    // Forest's range chains share the shape. True meshes run as
+    // bit-vector lanes; of the rest, signature sets carry required
+    // literals for the prefilter gate, forests do not and end on the
+    // sparse NFA.
     let mesh = fuzzy_layered_shape(a);
     if a.counter_count() == 0 && a.state_count() <= 200_000 && mesh.is_none() {
         if let Ok(engine) = LazyDfaEngine::new(a) {
@@ -182,6 +190,9 @@ pub fn select_session_engine_explained(
             );
             return Ok((EngineChoice::LazyDfa, reason, Box::new(engine)));
         }
+    }
+    if let Some((reason, engine)) = mesh.and_then(|wide| bit_parallel(a, wide)) {
+        return Ok((EngineChoice::BitParallel, reason, Box::new(engine)));
     }
     // Prefilter: worthwhile only when required literals gate most of the
     // state space (see [`prefilter_gate`]); otherwise the fallback
@@ -217,10 +228,27 @@ pub fn select_session_engine_explained(
     Ok((EngineChoice::Nfa, reason, Box::new(NfaEngine::new(a)?)))
 }
 
+/// The bit-vector tier for a mesh-shaped machine with `wide` wide
+/// states, with the reason, when every component rebuilds as a mesh.
+fn bit_parallel(a: &Automaton, wide: usize) -> Option<(String, BitParallelEngine)> {
+    let engine = BitParallelEngine::new(a).ok()?;
+    let reason = format!(
+        "acyclic, {wide} of {} states carry wide (>= 128-byte) classes, and every \
+         component rebuilds as an edit-distance mesh: {} {} lanes",
+        a.state_count(),
+        engine.lane_count(),
+        engine.kernel_name()
+    );
+    Some((reason, engine))
+}
+
 /// Thread-aware variant of [`select_session_engine`]: with more than
 /// one thread it builds a [`ParallelScanner`] (whose merged stream
 /// matches the single-threaded engines byte for byte), otherwise it
-/// defers to the single-threaded portfolio.
+/// defers to the single-threaded portfolio. A machine the bit-vector
+/// tier admits gets [`BitParallelEngine`] at any thread count: one
+/// bit-vector thread outruns sparse-NFA shards by well over the thread
+/// count.
 ///
 /// # Errors
 ///
@@ -232,6 +260,9 @@ pub fn select_session_engine_threaded(
 ) -> Result<(EngineChoice, Box<dyn SessionEngine>), EngineError> {
     if threads > 1 {
         preflight(a)?;
+        if let Some((_, engine)) = fuzzy_layered_shape(a).and_then(|wide| bit_parallel(a, wide)) {
+            return Ok((EngineChoice::BitParallel, Box::new(engine)));
+        }
         // Shards whose components carry required literals run behind the
         // prefilter (same gate as the single-threaded portfolio); the
         // merged stream is identical either way.
@@ -381,29 +412,72 @@ mod tests {
         assert_eq!(choice, EngineChoice::Nfa, "{reason}");
     }
 
-    #[test]
-    fn fuzzy_meshes_route_straight_to_nfa() {
+    fn mesh() -> Automaton {
         // A 24-byte pattern at edit distance 2: well within the DFA
-        // tier's size cut, but the layered-mesh detector keeps it out of
-        // subset construction, and with no required literal the
-        // prefilter gate sends it on to sparse simulation.
-        let (a, _) = azoo_fuzzy::fuzzy_from_bytes(
+        // tier's size cut, but mesh-shaped.
+        azoo_fuzzy::fuzzy_from_bytes(
             b"approximate_dictionary_x",
             2,
             azoo_fuzzy::EditProfile::LEVENSHTEIN,
             7,
         )
-        .unwrap();
-        assert!(a.state_count() <= 200_000);
+        .unwrap()
+        .0
+    }
+
+    #[test]
+    fn fuzzy_meshes_get_the_bit_vector_tier() {
+        // The layered-mesh detector keeps it out of subset construction,
+        // and the exact rebuild admits it to the bit-vector tier, at any
+        // thread count.
+        let a = mesh();
         let (choice, reason, mut engine) = select_session_engine_explained(&a).unwrap();
-        assert_eq!(choice, EngineChoice::Nfa, "{reason}");
+        assert_eq!(choice, EngineChoice::BitParallel, "{reason}");
         assert!(
-            reason.contains("acyclic, ") && reason.contains("wide (>= 128-byte) classes"),
-            "reason should name the shape: {reason}"
+            reason.contains("acyclic, ") && reason.contains("1 myers lanes"),
+            "reason should name the shape and the kernel: {reason}"
         );
-        let mut sink = CollectSink::new();
-        engine.scan(b"zz approxmiate_dictionary_x zz", &mut sink);
-        assert!(!sink.reports().is_empty());
+        let input = b"zz approxmiate_dictionary_x zz approximate_dictionary zz";
+        let mut got = CollectSink::new();
+        engine.scan(input, &mut got);
+        let mut want = CollectSink::new();
+        NfaEngine::new(&a).unwrap().scan(input, &mut want);
+        assert_eq!(got.sorted_reports(), want.sorted_reports());
+        assert!(!want.reports().is_empty());
+        let (choice, _) = select_session_engine_threaded(&a, 2).unwrap();
+        assert_eq!(choice, EngineChoice::BitParallel);
+    }
+
+    #[test]
+    fn a_mutated_mesh_falls_back_to_the_nfa() {
+        // One edge or one class away from a mesh: the rebuild differs, the
+        // tier refuses it with a typed error, and the portfolio goes on to
+        // sparse simulation.
+        let base = mesh();
+        assert!(BitParallelEngine::new(&base).is_ok());
+        let mut extra_edge = base.clone();
+        extra_edge.add_edge(StateId::new(2), StateId::new(base.state_count() - 1));
+        let mut reclassed = base.clone();
+        let victim = StateId::new(base.state_count() / 2);
+        if let ElementKind::Ste { class, .. } = &mut reclassed.element_mut(victim).kind {
+            class.remove(b'a');
+            class.remove(b'_');
+        }
+        assert_ne!(reclassed, base);
+        for a in [extra_edge, reclassed] {
+            assert_eq!(
+                BitParallelEngine::new(&a).err(),
+                Some(EngineError::NotAMesh(StateId::new(0)))
+            );
+            let (choice, reason, _) = select_session_engine_explained(&a).unwrap();
+            assert_eq!(choice, EngineChoice::Nfa, "{reason}");
+            assert!(
+                reason.contains("wide (>= 128-byte) classes: skips the DFA tier"),
+                "{reason}"
+            );
+            let (choice, _) = select_session_engine_threaded(&a, 2).unwrap();
+            assert_eq!(choice, EngineChoice::Parallel { threads: 2 });
+        }
     }
 
     #[test]

@@ -6,20 +6,13 @@
 //! homogeneous [`Automaton`] of `k + 1` error layers, the way noodle's
 //! `nx.c` scans with per-error state layers.
 //!
-//! The construction is the classic Levenshtein NFA over configurations
-//! `(consumed, edits)` with deletion ε-moves pre-expanded by closure and
-//! two homogeneous tracks per configuration:
-//!
-//! * **track 0** — entered by *matching* position `i` (class `p[i]`);
-//! * **track 1** — entered by an *edit* that consumes an input symbol.
-//!   When insertions are enabled this track is shared by insertions and
-//!   substitutions and must carry class `Σ` (any byte can be inserted);
-//!   when only substitutions consume input it carries `¬p[i]`.
-//!
-//! Disabling edit kinds specializes the mesh: `EditProfile::HAMMING`
-//! (substitutions only) and `EditProfile::LEVENSHTEIN` are the two
-//! profiles azoo-zoo builds its Hamming, Levenshtein and CRISPR
-//! benchmarks from; this crate is the zoo's only mesh builder.
+//! The mesh itself — the classic Levenshtein NFA over configurations
+//! `(consumed, edits)`, two homogeneous tracks per configuration — is
+//! built by `azoo_passes::mesh`, which also holds its recogniser; this
+//! crate wraps that one builder. `EditProfile::HAMMING` (substitutions
+//! only) and `EditProfile::LEVENSHTEIN` are the two profiles azoo-zoo
+//! builds its Hamming, Levenshtein and CRISPR benchmarks from, and the
+//! two azoo-engines' bit-vector tier (`BitParallelEngine`) runs.
 //!
 //! Besides building meshes from scratch ([`fuzzy_automaton`],
 //! [`fuzzy_from_bytes`]), [`fuzzify`] lifts an existing *chain-shaped*
@@ -36,62 +29,15 @@
 #![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used)]
 
-use std::fmt;
-
 use azoo_core::{Automaton, ElementKind, Port, StartKind, StateId, SymbolClass};
+use azoo_passes::mesh::{check_pattern, mesh_into, prune_mesh, MeshSpec};
+pub use azoo_passes::mesh::{EditProfile, FuzzyError, MAX_PATTERN_LEN};
 
 /// Largest `max_edits` accepted by the serve protocol and the oracle
 /// generator. The core constructors accept any `edits < pattern_len`;
 /// this cap is the *wire-level* bound and the range the acceptance
 /// campaign certifies.
 pub const MAX_EDITS: u8 = 3;
-
-/// Longest supported pattern, in symbol positions. The mesh holds at
-/// most `2 (l + 1)(k + 1)` states; this cap keeps a single fuzzified
-/// pattern well under engine-tier limits.
-pub const MAX_PATTERN_LEN: usize = 4096;
-
-/// Which edit kinds the mesh may spend its budget on.
-///
-/// Each toggle admits one kind of down-edge between error layers:
-///
-/// * `substitutions` — consume one input symbol in place of position `i`;
-/// * `insertions` — consume one input symbol without advancing the
-///   pattern;
-/// * `deletions` — advance the pattern without consuming input
-///   (ε-closure, pre-expanded).
-///
-/// Hamming distance falls out as the substitution-only profile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EditProfile {
-    /// Allow substituted symbols.
-    pub substitutions: bool,
-    /// Allow inserted symbols.
-    pub insertions: bool,
-    /// Allow deleted symbols.
-    pub deletions: bool,
-}
-
-impl EditProfile {
-    /// Full edit distance: substitutions, insertions, and deletions.
-    pub const LEVENSHTEIN: EditProfile = EditProfile {
-        substitutions: true,
-        insertions: true,
-        deletions: true,
-    };
-
-    /// Hamming distance: substitutions only.
-    pub const HAMMING: EditProfile = EditProfile {
-        substitutions: true,
-        insertions: false,
-        deletions: false,
-    };
-
-    /// Number of enabled edit kinds.
-    pub fn kinds(&self) -> usize {
-        usize::from(self.substitutions) + usize::from(self.insertions) + usize::from(self.deletions)
-    }
-}
 
 /// Construction metadata returned alongside every fuzzy automaton.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,216 +57,6 @@ pub struct FuzzyStats {
     pub est_active_width: usize,
 }
 
-/// Typed construction failures.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FuzzyError {
-    /// The pattern has no positions.
-    EmptyPattern,
-    /// The pattern exceeds [`MAX_PATTERN_LEN`].
-    PatternTooLong {
-        /// Offending length.
-        len: usize,
-        /// The cap ([`MAX_PATTERN_LEN`]).
-        max: usize,
-    },
-    /// `edits >= pattern_len`: the mesh would accept the empty string.
-    EditsExceedPattern {
-        /// Requested budget.
-        edits: usize,
-        /// Pattern length.
-        pattern_len: usize,
-    },
-    /// A non-zero edit budget with every edit kind disabled.
-    NoEditKinds {
-        /// Requested budget.
-        edits: usize,
-    },
-    /// A pattern position has an empty symbol class and can never match.
-    UnmatchablePosition {
-        /// Offending position index.
-        index: usize,
-    },
-    /// [`fuzzify`] requires chain-shaped components (literal runs); this
-    /// state breaks the shape.
-    NotChainShaped {
-        /// Offending state.
-        state: StateId,
-        /// What about the state breaks the chain shape.
-        reason: &'static str,
-    },
-}
-
-impl fmt::Display for FuzzyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FuzzyError::EmptyPattern => write!(f, "empty pattern"),
-            FuzzyError::PatternTooLong { len, max } => {
-                write!(f, "pattern length {len} exceeds maximum {max}")
-            }
-            FuzzyError::EditsExceedPattern { edits, pattern_len } => {
-                write!(
-                    f,
-                    "edit budget {edits} must be below pattern length {pattern_len}"
-                )
-            }
-            FuzzyError::NoEditKinds { edits } => {
-                write!(f, "edit budget {edits} with every edit kind disabled")
-            }
-            FuzzyError::UnmatchablePosition { index } => {
-                write!(f, "pattern position {index} has an empty symbol class")
-            }
-            FuzzyError::NotChainShaped { state, reason } => {
-                write!(
-                    f,
-                    "state {} is not part of a literal chain: {reason}",
-                    state.index()
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for FuzzyError {}
-
-fn check_pattern(
-    classes: &[SymbolClass],
-    edits: usize,
-    profile: EditProfile,
-) -> Result<(), FuzzyError> {
-    let l = classes.len();
-    if l == 0 {
-        return Err(FuzzyError::EmptyPattern);
-    }
-    if l > MAX_PATTERN_LEN {
-        return Err(FuzzyError::PatternTooLong {
-            len: l,
-            max: MAX_PATTERN_LEN,
-        });
-    }
-    if edits >= l {
-        return Err(FuzzyError::EditsExceedPattern {
-            edits,
-            pattern_len: l,
-        });
-    }
-    if edits > 0 && profile.kinds() == 0 {
-        return Err(FuzzyError::NoEditKinds { edits });
-    }
-    if let Some(index) = classes.iter().position(SymbolClass::is_empty) {
-        return Err(FuzzyError::UnmatchablePosition { index });
-    }
-    Ok(())
-}
-
-/// Appends one `(i, e, track)` mesh for `classes` into `a`. The caller
-/// prunes with `remove_dead` once all meshes are in place.
-#[allow(clippy::needless_range_loop)] // index loops mirror the (i, e, track) mesh
-fn mesh_into(
-    a: &mut Automaton,
-    classes: &[SymbolClass],
-    d: usize,
-    profile: EditProfile,
-    code: u32,
-    start_kind: StartKind,
-    eod_only: bool,
-) {
-    let l = classes.len();
-    // With insertions the edit-entered track is shared by insertions and
-    // substitutions and must match any byte; substitution-only meshes
-    // narrow it to the complement class (azoo-zoo's Hamming mesh).
-    let track1_full = profile.insertions;
-    let mut ids = vec![vec![[None::<StateId>; 2]; d + 1]; l + 1];
-    // With deletions, trailing pattern positions may be deleted for free;
-    // without them, only the final column accepts.
-    let accepting = |i: usize, e: usize| {
-        if profile.deletions {
-            l - i <= d - e
-        } else {
-            i == l
-        }
-    };
-    for i in 0..=l {
-        for e in 0..=d {
-            if i >= 1 {
-                let s = a.add_ste(classes[i - 1], StartKind::None);
-                ids[i][e][0] = Some(s);
-                if accepting(i, e) {
-                    a.set_report(s, code);
-                    a.set_report_eod_only(s, eod_only);
-                }
-            }
-            if e >= 1 {
-                let class = if track1_full {
-                    Some(SymbolClass::FULL)
-                } else if profile.substitutions && i >= 1 {
-                    // A substitution of a Σ-class position cannot
-                    // mismatch; skip the unmatchable state.
-                    Some(classes[i - 1].complement()).filter(|c| !c.is_empty())
-                } else {
-                    None
-                };
-                if let Some(class) = class {
-                    let s = a.add_ste(class, StartKind::None);
-                    ids[i][e][1] = Some(s);
-                    if accepting(i, e) {
-                        a.set_report(s, code);
-                        a.set_report_eod_only(s, eod_only);
-                    }
-                }
-            }
-        }
-    }
-    // Deletion closure of configuration (i, e); the identity when
-    // deletions are disabled.
-    let closure = |i: usize, e: usize| -> Vec<(usize, usize)> {
-        if profile.deletions {
-            (0..=(l - i).min(d - e)).map(|j| (i + j, e + j)).collect()
-        } else {
-            vec![(i, e)]
-        }
-    };
-    // Symbol successors of a configuration set, as homogeneous targets.
-    let targets_of = |cfg: (usize, usize)| -> Vec<StateId> {
-        let mut out = Vec::new();
-        for (i, e) in closure(cfg.0, cfg.1) {
-            if i < l {
-                if let Some(m) = ids[i + 1][e][0] {
-                    out.push(m);
-                }
-                if profile.substitutions && e < d {
-                    if let Some(s) = ids[i + 1][e + 1][1] {
-                        out.push(s);
-                    }
-                }
-            }
-            if profile.insertions && e < d {
-                if let Some(ins) = ids[i][e + 1][1] {
-                    out.push(ins);
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    };
-    for i in 0..=l {
-        for e in 0..=d {
-            for track in 0..2 {
-                let Some(s) = ids[i][e][track] else { continue };
-                for t in targets_of((i, e)) {
-                    a.add_edge(s, t);
-                }
-            }
-        }
-    }
-    // Start states: symbol successors of the initial configuration (0,0).
-    for t in targets_of((0, 0)) {
-        if let ElementKind::Ste { start, .. } = &mut a.element_mut(t).kind {
-            *start = start_kind;
-        }
-    }
-}
-
 /// Compiles a symbol-class sequence into a fuzzy mesh reporting `code`
 /// at every offset where some stream suffix is within `edits` edits
 /// (per `profile`) of the pattern.
@@ -334,19 +70,15 @@ pub fn fuzzy_automaton(
     code: u32,
 ) -> Result<(Automaton, FuzzyStats), FuzzyError> {
     check_pattern(classes, edits, profile)?;
-    let mut a = Automaton::new();
-    mesh_into(
-        &mut a,
-        classes,
+    let a = MeshSpec {
+        classes: classes.to_vec(),
         edits,
         profile,
         code,
-        StartKind::AllInput,
-        false,
-    );
-    // The uniform (i, e) grid creates configurations no path can reach
-    // (e.g. high-edit cells next to the start); prune them.
-    let a = azoo_passes::remove_dead(&a);
+        start: StartKind::AllInput,
+        eod_only: false,
+    }
+    .build();
     let stats = FuzzyStats {
         states: a.state_count(),
         edges: a.edge_count(),
@@ -504,7 +236,7 @@ pub fn fuzzify(
         pattern_len = pattern_len.max(chain.classes.len());
         est_active_width += (edits + 1) * chain.classes.len();
     }
-    let out = azoo_passes::remove_dead(&out);
+    let out = prune_mesh(out, profile);
     let stats = FuzzyStats {
         states: out.state_count(),
         edges: out.edge_count(),

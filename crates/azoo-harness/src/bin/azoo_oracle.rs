@@ -2,8 +2,13 @@
 //!
 //! ```text
 //! azoo-oracle [--seeds N] [--start S] [--engines a,b,...] [--no-passes]
-//!             [--shrink] [--save-bank DIR] [--mutation-check] [--json]
+//!             [--fuzzy] [--shrink] [--save-bank DIR] [--mutation-check] [--json]
 //! ```
+//!
+//! `--fuzzy` generates edit-distance meshes (azoo-fuzzy patterns at a
+//! random budget `k <= 3` and edit profile) over inputs spliced with
+//! near-miss copies, instead of random graphs; the bit-vector tier
+//! (`bitpar`) applies only to those.
 //!
 //! Exit status is non-zero if any divergence is found, or if the
 //! mutation self-check kills fewer than 8 of its 10 planted bugs.
@@ -56,6 +61,7 @@ fn parse_args() -> Result<Args, String> {
                 args.cfg.engines = EngineKind::parse_list(&value("--engines")?)?;
             }
             "--no-passes" => args.cfg.check_passes = false,
+            "--fuzzy" => args.cfg.gen.fuzzy = true,
             "--shrink" => args.shrink = true,
             "--json" => args.json = true,
             "--mutation-check" => args.mutation_check = true,
@@ -63,7 +69,8 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: azoo-oracle [--seeds N] [--start S] [--engines a,b,...] \
-                     [--no-passes] [--shrink] [--save-bank DIR] [--mutation-check] [--json]"
+                     [--no-passes] [--fuzzy] [--shrink] [--save-bank DIR] [--mutation-check] \
+                     [--json]"
                 );
                 std::process::exit(0);
             }

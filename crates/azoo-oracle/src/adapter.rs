@@ -10,8 +10,8 @@
 
 use azoo_core::Automaton;
 use azoo_engines::{
-    CollectSink, EngineError, LazyDfaEngine, NfaEngine, ParallelScanner, PrefilterEngine,
-    SessionEngine,
+    BitParallelEngine, CollectSink, EngineError, LazyDfaEngine, NfaEngine, ParallelScanner,
+    PrefilterEngine, SessionEngine,
 };
 
 /// One normalized report: `(offset, code)`.
@@ -38,6 +38,9 @@ pub enum EngineKind {
     /// Aho–Corasick matcher. Divergence between this and
     /// [`Prefilter`](EngineKind::Prefilter) is exactly a Teddy trigger bug.
     PrefilterScalarTrigger,
+    /// Bit-vector tier (Myers / Shift-Add lanes); applies only to
+    /// machines whose every component rebuilds as an edit-distance mesh.
+    BitParallel,
     /// Multi-threaded component/chunk scanner.
     Parallel {
         /// Worker thread count.
@@ -61,6 +64,7 @@ impl EngineKind {
             EngineKind::LazyDfa { max_states: 17 },
             EngineKind::Prefilter,
             EngineKind::PrefilterScalarTrigger,
+            EngineKind::BitParallel,
             EngineKind::Parallel {
                 threads: 2,
                 prefilter: false,
@@ -92,6 +96,7 @@ impl EngineKind {
             EngineKind::LazyDfa { max_states } => format!("lazydfa:{max_states}"),
             EngineKind::Prefilter => "prefilter".into(),
             EngineKind::PrefilterScalarTrigger => "prefilter-scalar".into(),
+            EngineKind::BitParallel => "bitpar".into(),
             EngineKind::Parallel {
                 threads,
                 prefilter: false,
@@ -123,6 +128,7 @@ impl EngineKind {
             }),
             "prefilter" if arg.is_none() => Some(EngineKind::Prefilter),
             "prefilter-scalar" if arg.is_none() => Some(EngineKind::PrefilterScalarTrigger),
+            "bitpar" if arg.is_none() => Some(EngineKind::BitParallel),
             // `parallel:0` is rejected here rather than surfacing the
             // engine's InvalidThreads later: the oracle treats build
             // errors as "engine inapplicable", which would silently
@@ -159,7 +165,8 @@ impl EngineUnderTest {
     /// Compiles `a` for `kind`.
     ///
     /// Returns `Ok(None)` when the engine legitimately does not apply to
-    /// this automaton (counters) and `Err` only when
+    /// this automaton (counters; a machine the bit-vector tier refuses)
+    /// and `Err` only when
     /// the automaton itself is invalid — which the oracle treats as a
     /// generator bug, not an engine bug.
     pub fn build(kind: EngineKind, a: &Automaton) -> Result<Option<Self>, EngineError> {
@@ -180,13 +187,19 @@ impl EngineUnderTest {
             EngineKind::PrefilterScalarTrigger => {
                 PrefilterEngine::with_scalar_trigger(a).map(boxed)
             }
+            EngineKind::BitParallel => BitParallelEngine::new(a).map(boxed),
             EngineKind::Parallel { threads, prefilter } => {
                 ParallelScanner::with_prefilter(a, threads, prefilter).map(boxed)
             }
         };
         match built {
             Ok(engine) => Ok(Some(EngineUnderTest { kind, engine })),
-            Err(EngineError::CountersUnsupported(_)) => Ok(None),
+            Err(
+                EngineError::CountersUnsupported(_)
+                | EngineError::NotAMesh(_)
+                | EngineError::NoEditBudget
+                | EngineError::LaneUnsupported { .. },
+            ) => Ok(None),
             Err(e) => Err(e),
         }
     }

@@ -17,6 +17,9 @@
 //!   automaton into components a literal matcher can gate (simulated only
 //!   in a bounded window around candidate hits) and a full-simulation
 //!   fallback remainder.
+//! * [`mesh`] — the bounded edit-distance mesh builder azoo-fuzzy and
+//!   the zoo build through, and [`recognize`], which admits a machine
+//!   as a union of meshes only if every component rebuilds exactly.
 //! * [`quotient_simulation`] / [`residual_merge`] / [`reduce`] — the
 //!   simulation-based reduction tier: bisimulation quotienting plus
 //!   residual coverage folds, both semantics-preserving under the
@@ -33,6 +36,7 @@
 mod dead;
 mod input_map;
 mod merge;
+pub mod mesh;
 mod partition;
 mod prefilter;
 mod reduce;
@@ -42,6 +46,7 @@ mod widen;
 pub use dead::remove_dead;
 pub use input_map::InputMap;
 pub use merge::{merge_prefixes, merge_suffixes, MergeStats};
+pub use mesh::recognize;
 pub use partition::partition;
 pub use prefilter::{prefilter_plan, PrefilterComponent, PrefilterPlan, MIN_STRONG_LITERAL};
 pub use reduce::{

@@ -5,6 +5,11 @@
 //! block mode and under random streaming chunk plans, with zero
 //! tolerated divergences.
 //!
+//! The bit-vector tier (`bitpar`) is in the matrix: it runs on every
+//! seed whose machine it admits (every pattern a Levenshtein or Hamming
+//! mesh, one profile, some budget above zero), and the campaign counts
+//! those seeds so the tier cannot silently drop out of it.
+//!
 //! Passes are left out (`check_passes: false`): the pass cross-checks
 //! have their own thousand-seed campaign (`tests/reduce_oracle.rs`),
 //! and an engine-only run keeps this one inside the debug-profile test
@@ -13,9 +18,20 @@
 
 use std::path::Path;
 
-use automatazoo::oracle::{run_seed, shrink, BugbankEntry, EngineKind, GenConfig, OracleConfig};
+use automatazoo::engines::BitParallelEngine;
+use automatazoo::oracle::{
+    gen_fuzzy_automaton, run_seed, shrink, BugbankEntry, EngineKind, GenConfig, OracleConfig,
+    OracleRng,
+};
 
 const SEEDS: u64 = 1000;
+
+/// Seeds of the 1000 whose machine the bit-vector tier admits: 277 were
+/// measured when the tier landed (the generator's two mixed edit
+/// profiles and zero-budget-only machines account for most refusals);
+/// the floor leaves room for generator tweaks, not for the tier
+/// dropping out.
+const MIN_BITPAR_SEEDS: usize = 250;
 
 #[test]
 fn thousand_seed_fuzzy_engine_campaign_is_divergence_free() {
@@ -28,7 +44,11 @@ fn thousand_seed_fuzzy_engine_campaign_is_divergence_free() {
         check_passes: false,
     };
     let mut divergences = Vec::new();
+    let mut bitpar_seeds = 0;
     for seed in 0..SEEDS {
+        // The same first draw `run_seed` makes.
+        let (a, _) = gen_fuzzy_automaton(&mut OracleRng::new(seed), &cfg.gen);
+        bitpar_seeds += usize::from(BitParallelEngine::new(&a).is_ok());
         if let Some(d) = run_seed(seed, &cfg) {
             let d = shrink(&d);
             let name = format!("fuzzy-oracle-seed-{seed}");
@@ -52,6 +72,11 @@ fn thousand_seed_fuzzy_engine_campaign_is_divergence_free() {
         "fuzzy engine campaign found divergences:\n{}",
         divergences.join("\n")
     );
+    println!("bit-vector tier admitted {bitpar_seeds} of {SEEDS} seeds");
+    assert!(
+        bitpar_seeds >= MIN_BITPAR_SEEDS,
+        "bit-vector tier admitted only {bitpar_seeds} of {SEEDS} seeds"
+    );
 }
 
 /// The campaign only proves cross-engine agreement if the matrix really
@@ -61,11 +86,18 @@ fn thousand_seed_fuzzy_engine_campaign_is_divergence_free() {
 fn fuzzy_campaign_matrix_covers_all_engine_configs() {
     let engines = EngineKind::default_set();
     assert!(
-        engines.len() >= 12,
+        engines.len() >= 13,
         "engine matrix shrank to {} configs",
         engines.len()
     );
-    for label in ["nfa", "nfa-noskip", "lazydfa", "prefilter", "parallel"] {
+    for label in [
+        "nfa",
+        "nfa-noskip",
+        "lazydfa",
+        "prefilter",
+        "bitpar",
+        "parallel",
+    ] {
         assert!(
             engines
                 .iter()
