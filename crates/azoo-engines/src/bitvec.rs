@@ -15,11 +15,10 @@
 //! mesh computes: "some suffix of the stream (the whole stream, when
 //! anchored) is within `k` edits of the pattern".
 
-use std::collections::HashMap;
-
-use azoo_core::{Automaton, ReportCode, StartKind, SymbolClass};
+use azoo_core::{Automaton, ReportCode, StartKind};
 use azoo_passes::mesh::{EditProfile, MeshSpec};
 
+use crate::lower::byte_classes;
 use crate::sink::ReportSink;
 use crate::stream::StreamingEngine;
 use crate::{Engine, EngineError};
@@ -341,23 +340,10 @@ impl BitParallelEngine {
         specs.sort_by_key(group_key);
 
         // Byte classes: bytes every pattern position treats alike.
-        let mut distinct: Vec<SymbolClass> = specs.iter().flat_map(|s| s.classes.clone()).collect();
-        distinct.sort_unstable_by_key(|c| *c.as_words());
-        distinct.dedup();
-        let mut signatures: HashMap<Vec<bool>, u16> = HashMap::new();
-        let mut reps: Vec<u8> = Vec::new();
-        let mut class_of = [0u16; 256];
-        for b in 0..=255u8 {
-            let sig: Vec<bool> = distinct.iter().map(|c| c.contains(b)).collect();
-            class_of[usize::from(b)] = *signatures.entry(sig).or_insert_with(|| {
-                reps.push(b);
-                reps.len() as u16 - 1
-            });
-        }
-
+        let alphabet = byte_classes(specs.iter().flat_map(|s| &s.classes));
         let lanes = specs.len();
-        let mut rows = Vec::with_capacity(reps.len() * lanes);
-        for &b in &reps {
+        let mut rows = Vec::with_capacity(alphabet.len() * lanes);
+        for &b in &alphabet.reps {
             for s in &specs {
                 rows.push(lane_row(s, profile, b));
             }
@@ -379,7 +365,7 @@ impl BitParallelEngine {
         Ok(BitParallelEngine {
             kernel,
             lanes,
-            class_of,
+            class_of: alphabet.class_of,
             rows,
             code: specs.iter().map(|s| s.code).collect(),
             code_idx,
@@ -553,7 +539,8 @@ impl StreamingEngine for BitParallelEngine {
 mod tests {
     use super::*;
     use crate::sink::{CollectSink, Report};
-    use crate::NfaEngine;
+    use crate::{LazyDfaEngine, NfaEngine};
+    use azoo_core::SymbolClass;
     use rand::{RngExt, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -743,6 +730,18 @@ mod tests {
             BitParallelEngine::new(&chain).err(),
             Some(EngineError::NotAMesh(azoo_core::StateId::new(0)))
         );
+    }
+
+    #[test]
+    fn a_hamming_mesh_gets_the_lazy_dfas_byte_classes() {
+        let mut digits = spec(b"x?y", 1, EditProfile::HAMMING, 1);
+        digits.classes[1] = SymbolClass::from_range(b'0', b'9');
+        let a = machine(&[spec(b"GATTACA", 2, EditProfile::HAMMING, 0), digits]);
+        let engine = BitParallelEngine::new(&a).unwrap();
+        let dfa = LazyDfaEngine::new(&a).unwrap();
+        // A, C, G, T, x, y, the digits and the rest.
+        assert_eq!(dfa.alphabet_classes(), 8);
+        assert_eq!(engine.rows.len() / engine.lanes, dfa.alphabet_classes());
     }
 
     #[test]

@@ -11,8 +11,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use azoo_core::{Automaton, ElementKind, StartKind, SymbolClass};
+use azoo_core::{Automaton, StateId};
 
+use crate::lower::{byte_classes, ByteClasses, Lowered};
 use crate::sink::ReportSink;
 use crate::stream::StreamingEngine;
 use crate::{Engine, EngineError};
@@ -26,21 +27,11 @@ const UNBUILT: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 pub struct LazyDfaEngine {
     // NFA side.
-    classes: Vec<SymbolClass>,
-    report_code: Vec<u32>,
-    // A separate mask, not a code sentinel: u32::MAX is a legal code.
-    has_report: Vec<bool>,
-    report_eod: Vec<bool>,
-    is_always: Vec<bool>,
-    succ_off: Vec<u32>,
-    succ_tgt: Vec<u32>,
-    always: Vec<u32>,
+    net: Lowered,
     start_key: Arc<[u32]>,
 
     // Alphabet compression.
-    byte_class: [u16; 256],
-    class_rep: Vec<u8>,
-    n_classes: usize,
+    alphabet: ByteClasses,
 
     // DFA cache. A state's NFA-state set is immutable once interned, so
     // `states` and `intern` share one allocation per key, and
@@ -80,98 +71,18 @@ impl LazyDfaEngine {
     ///
     /// See [`LazyDfaEngine::new`].
     pub fn with_max_states(a: &Automaton, max_states: usize) -> Result<Self, EngineError> {
-        a.validate()?;
-        let n = a.state_count();
-        let mut classes = vec![SymbolClass::EMPTY; n];
-        let mut report_code = vec![0u32; n];
-        let mut has_report = vec![false; n];
-        let mut report_eod = vec![false; n];
-        let mut is_always = vec![false; n];
-        let mut always = Vec::new();
-        let mut sod = Vec::new();
-        for (id, e) in a.iter() {
-            let i = id.index();
-            match &e.kind {
-                ElementKind::Counter { .. } => {
-                    return Err(EngineError::CountersUnsupported(id));
-                }
-                ElementKind::Ste { class, start } => {
-                    classes[i] = *class;
-                    match start {
-                        StartKind::None => {}
-                        StartKind::StartOfData => sod.push(i as u32),
-                        StartKind::AllInput => {
-                            is_always[i] = true;
-                            always.push(i as u32);
-                        }
-                    }
-                }
-            }
-            if let Some(code) = e.report {
-                report_code[i] = code.0;
-                has_report[i] = true;
-            }
-            report_eod[i] = e.report_eod_only;
+        let net = Lowered::new(a)?;
+        if let Some(c) = net.counters.first() {
+            return Err(EngineError::CountersUnsupported(StateId::new(
+                c.elem as usize,
+            )));
         }
-        let mut succ_off = Vec::with_capacity(n + 1);
-        let mut succ_tgt = Vec::with_capacity(a.edge_count());
-        succ_off.push(0);
-        for (id, _) in a.iter() {
-            for edge in a.successors(id) {
-                succ_tgt.push(edge.to.index() as u32);
-            }
-            succ_off.push(succ_tgt.len() as u32);
-        }
-        sod.sort_unstable();
-        sod.dedup();
-
         // Alphabet compression: bytes indistinguishable by every symbol
         // class share a DFA column.
-        let mut distinct: Vec<SymbolClass> = Vec::new();
-        {
-            let mut seen = std::collections::HashSet::new();
-            for c in &classes {
-                if seen.insert(*c.as_words()) {
-                    distinct.push(*c);
-                }
-            }
-        }
-        let mut byte_class = [0u16; 256];
-        let mut n_classes = 1usize;
-        for c in &distinct {
-            let mut remap: HashMap<(u16, bool), u16> = HashMap::new();
-            let mut next = 0u16;
-            let mut new_class = [0u16; 256];
-            for b in 0..256usize {
-                let key = (byte_class[b], c.contains(b as u8));
-                let id = *remap.entry(key).or_insert_with(|| {
-                    let v = next;
-                    next += 1;
-                    v
-                });
-                new_class[b] = id;
-            }
-            byte_class = new_class;
-            n_classes = next as usize;
-        }
-        let mut class_rep = vec![0u8; n_classes];
-        for b in (0..256usize).rev() {
-            class_rep[byte_class[b] as usize] = b as u8;
-        }
-
         let mut engine = LazyDfaEngine {
-            classes,
-            report_code,
-            has_report,
-            report_eod,
-            is_always,
-            succ_off,
-            succ_tgt,
-            always,
-            start_key: sod.into(),
-            byte_class,
-            class_rep,
-            n_classes,
+            alphabet: byte_classes(&net.classes),
+            start_key: net.sod.as_slice().into(),
+            net,
             max_states: max_states.max(2),
             states: Vec::new(),
             intern: HashMap::new(),
@@ -201,7 +112,7 @@ impl LazyDfaEngine {
 
     /// Number of compressed alphabet classes.
     pub fn alphabet_classes(&self) -> usize {
-        self.n_classes
+        self.alphabet.len()
     }
 
     fn flush(&mut self) {
@@ -218,10 +129,9 @@ impl LazyDfaEngine {
         let id = self.states.len() as u32;
         self.intern.insert(Arc::clone(&key), id);
         self.states.push(key);
-        self.trans
-            .extend(std::iter::repeat_n(UNBUILT, self.n_classes));
-        self.trans_rep
-            .extend(std::iter::repeat_n(0, self.n_classes));
+        let n_classes = self.alphabet.len();
+        self.trans.extend(std::iter::repeat_n(UNBUILT, n_classes));
+        self.trans_rep.extend(std::iter::repeat_n(0, n_classes));
         id
     }
 
@@ -249,32 +159,29 @@ impl LazyDfaEngine {
     /// Computes (and caches when possible) the transition out of `cur` on
     /// alphabet class `k`. Returns `(next_state, report_list)`.
     fn take_transition(&mut self, cur: u32, k: usize) -> (u32, u32) {
-        let idx = cur as usize * self.n_classes + k;
+        let idx = cur as usize * self.alphabet.len() + k;
         if self.trans[idx] != UNBUILT {
             return (self.trans[idx], self.trans_rep[idx]);
         }
-        let byte = self.class_rep[k];
+        let byte = self.alphabet.reps[k];
         let mut next: Vec<u32> = Vec::new();
         let mut reports: Vec<(u32, bool)> = Vec::new();
         let key = Arc::clone(&self.states[cur as usize]);
-        let always = std::mem::take(&mut self.always);
-        for &s in key.iter().chain(always.iter()) {
+        let net = &self.net;
+        for &s in key.iter().chain(net.always.iter()) {
             let si = s as usize;
-            if !self.classes[si].contains(byte) {
+            if !net.classes[si].contains(byte) {
                 continue;
             }
-            if self.has_report[si] {
-                reports.push((self.report_code[si], self.report_eod[si]));
+            if net.has_report[si] {
+                reports.push((net.report_code[si], net.report_eod[si]));
             }
-            let lo = self.succ_off[si] as usize;
-            let hi = self.succ_off[si + 1] as usize;
-            for &t in &self.succ_tgt[lo..hi] {
-                if !self.is_always[t as usize] {
+            for &t in net.successors(si) {
+                if !net.is_always[t as usize] {
                     next.push(t);
                 }
             }
         }
-        self.always = always;
         next.sort_unstable();
         next.dedup();
         reports.sort_unstable();
@@ -301,7 +208,6 @@ impl LazyDfaEngine {
         let flushes_before = self.flushes;
         let next_id = self.intern_state(&next);
         if self.flushes == flushes_before {
-            let idx = cur as usize * self.n_classes + k;
             self.trans[idx] = next_id;
             self.trans_rep[idx] = rep_id;
         }
@@ -325,7 +231,7 @@ impl LazyDfaEngine {
             self.pending_eod.clear();
         }
         for (pos, &b) in input.iter().enumerate() {
-            let k = self.byte_class[b as usize] as usize;
+            let k = self.alphabet.class_of[b as usize] as usize;
             let (next, rep) = self.take_transition(cur, k);
             if rep != 0 {
                 let last = eod && pos + 1 == len;
@@ -395,6 +301,7 @@ impl Engine for LazyDfaEngine {
 mod tests {
     use super::*;
     use crate::sink::{CollectSink, Report};
+    use azoo_core::{StartKind, SymbolClass};
 
     fn abc() -> Automaton {
         let mut a = Automaton::new();

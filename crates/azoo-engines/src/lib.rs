@@ -28,6 +28,13 @@
 //! All engines produce identical report streams for the automata they
 //! support, which the test suite cross-validates.
 //!
+//! The tiers derive their structural facts in one place. The NFA and
+//! the lazy DFA both read one lowered form of the automaton — per-state
+//! class, report and start tables, CSR successors and the counter list,
+//! validated once — and the lazy DFA's alphabet columns and the
+//! bit-vector tier's lane rows come from one byte-class partition
+//! (bytes no input class tells apart share a class).
+//!
 //! # Example
 //!
 //! ```
@@ -53,6 +60,7 @@
 mod bitvec;
 mod lazy_dfa;
 mod literal;
+mod lower;
 mod nfa;
 mod parallel;
 mod prefilter;

@@ -1,9 +1,10 @@
 //! The VASim-equivalent sparse active-set NFA engine.
 
-use azoo_core::{Automaton, CounterMode, ElementKind, StartKind, SymbolClass};
+use azoo_core::{Automaton, CounterMode, SymbolClass};
 
 use azoo_simd::ByteFinder;
 
+use crate::lower::{Lowered, PORT_BIT};
 use crate::profile::Profile;
 use crate::sink::ReportSink;
 use crate::stream::StreamingEngine;
@@ -13,7 +14,6 @@ use crate::{Engine, EngineError};
 // the dense index is bounded by the distinct-code count). The raw report
 // code must NOT double as a sentinel — u32::MAX is a legal code.
 const NO_CODE_IDX: u32 = u32::MAX;
-const PORT_BIT: u32 = 1 << 31;
 
 /// Sparse active-set simulator for homogeneous automata with counters.
 ///
@@ -42,26 +42,15 @@ const PORT_BIT: u32 = 1 << 31;
 /// even when several reporting states share a code and match together.
 #[derive(Debug, Clone)]
 pub struct NfaEngine {
-    n: usize,
-    classes: Vec<SymbolClass>,
-    report_code: Vec<u32>,
+    net: Lowered,
     /// Dense index of each state's report code (for the per-cycle stamp
     /// table); `u32::MAX` for non-reporting states.
     code_idx: Vec<u32>,
-    report_eod: Vec<bool>,
-    is_always: Vec<bool>,
     is_counter: Vec<bool>,
     counter_idx: Vec<u32>,
-    // CSR adjacency over all elements; top bit of a target marks the
-    // reset port.
-    succ_off: Vec<u32>,
-    succ_tgt: Vec<u32>,
-    sod_list: Vec<u32>,
     // CSR of `AllInput` states matching each byte value.
     always_off: Vec<u32>,
     always_dat: Vec<u32>,
-    counters: Vec<CounterDef>,
-    counter_elem_ids: Vec<u32>,
     wake: ByteFinder,
     wake_len: usize,
     quiescent: bool,
@@ -96,12 +85,6 @@ pub struct NfaEngine {
     stream_offset: u64,
 }
 
-#[derive(Debug, Clone)]
-struct CounterDef {
-    target: u32,
-    mode: CounterMode,
-}
-
 impl NfaEngine {
     /// Compiles `a` for execution.
     ///
@@ -110,115 +93,55 @@ impl NfaEngine {
     /// Returns [`EngineError::Invalid`] if `a` fails
     /// [`Automaton::validate`].
     pub fn new(a: &Automaton) -> Result<Self, EngineError> {
-        a.validate()?;
-        let n = a.state_count();
-        let mut classes = vec![SymbolClass::EMPTY; n];
-        let mut report_code = vec![0u32; n];
-        let mut has_report = vec![false; n];
-        let mut report_eod = vec![false; n];
-        let mut is_always = vec![false; n];
+        let net = Lowered::new(a)?;
+        let n = net.state_count();
         let mut is_counter = vec![false; n];
         let mut counter_idx = vec![u32::MAX; n];
-        let mut sod_list = Vec::new();
-        let mut counters = Vec::new();
-        let mut counter_elem_ids = Vec::new();
-        let mut always = Vec::new();
-        for (id, e) in a.iter() {
-            let i = id.index();
-            if let Some(code) = e.report {
-                report_code[i] = code.0;
-                has_report[i] = true;
-            }
-            report_eod[i] = e.report_eod_only;
-            match &e.kind {
-                ElementKind::Ste { class, start } => {
-                    classes[i] = *class;
-                    match start {
-                        StartKind::None => {}
-                        StartKind::StartOfData => sod_list.push(i as u32),
-                        StartKind::AllInput => {
-                            is_always[i] = true;
-                            always.push(i as u32);
-                        }
-                    }
-                }
-                ElementKind::Counter { target, mode } => {
-                    is_counter[i] = true;
-                    counter_idx[i] = counters.len() as u32;
-                    counter_elem_ids.push(i as u32);
-                    counters.push(CounterDef {
-                        target: *target,
-                        mode: *mode,
-                    });
-                }
-            }
-        }
-        let mut succ_off = Vec::with_capacity(n + 1);
-        let mut succ_tgt = Vec::with_capacity(a.edge_count());
-        succ_off.push(0);
-        for (id, _) in a.iter() {
-            for edge in a.successors(id) {
-                let mut t = edge.to.index() as u32;
-                if edge.port == azoo_core::Port::Reset {
-                    t |= PORT_BIT;
-                }
-                succ_tgt.push(t);
-            }
-            succ_off.push(succ_tgt.len() as u32);
+        for (ci, c) in net.counters.iter().enumerate() {
+            is_counter[c.elem as usize] = true;
+            counter_idx[c.elem as usize] = ci as u32;
         }
         let mut always_off = Vec::with_capacity(257);
         let mut always_dat = Vec::new();
         let mut wake = SymbolClass::EMPTY;
         always_off.push(0);
         for b in 0..=255u8 {
-            for &s in &always {
-                if classes[s as usize].contains(b) {
+            for &s in &net.always {
+                if net.classes[s as usize].contains(b) {
                     always_dat.push(s);
                 }
             }
             always_off.push(always_dat.len() as u32);
         }
-        for &s in &always {
-            wake = wake.union(&classes[s as usize]);
+        for &s in &net.always {
+            wake = wake.union(&net.classes[s as usize]);
         }
         let wake_len = wake.len() as usize;
         // Dense report-code index for the stamped per-cycle dedup.
-        let mut codes: Vec<u32> = report_code
-            .iter()
-            .zip(&has_report)
-            .filter(|&(_, &has)| has)
-            .map(|(&c, _)| c)
+        let mut codes: Vec<u32> = (0..n)
+            .filter(|&i| net.has_report[i])
+            .map(|i| net.report_code[i])
             .collect();
         codes.sort_unstable();
         codes.dedup();
-        let code_idx: Vec<u32> = report_code
-            .iter()
-            .zip(&has_report)
-            .map(|(&c, &has)| {
-                if has {
-                    codes.binary_search(&c).map_or(NO_CODE_IDX, |i| i as u32)
+        let code_idx = (0..n)
+            .map(|i| {
+                if net.has_report[i] {
+                    codes
+                        .binary_search(&net.report_code[i])
+                        .map_or(NO_CODE_IDX, |k| k as u32)
                 } else {
                     NO_CODE_IDX
                 }
             })
             .collect();
-        let n_counters = counters.len();
+        let n_counters = net.counters.len();
         Ok(NfaEngine {
-            n,
-            classes,
-            report_code,
             code_idx,
-            report_eod,
-            is_always,
             is_counter,
             counter_idx,
-            succ_off,
-            succ_tgt,
-            sod_list,
             always_off,
             always_dat,
-            counters,
-            counter_elem_ids,
             wake: ByteFinder::from_bytes(&wake.iter().collect::<Vec<u8>>()),
             wake_len,
             quiescent: true,
@@ -237,12 +160,13 @@ impl NfaEngine {
             pending_eod: Vec::new(),
             pending_scratch: Vec::new(),
             stream_offset: 0,
+            net,
         })
     }
 
     /// Number of automaton elements.
     pub fn state_count(&self) -> usize {
-        self.n
+        self.net.state_count()
     }
 
     /// Enables or disables the quiescent-skip fast path (on by default).
@@ -294,8 +218,8 @@ impl NfaEngine {
         }
         // Seed start-of-data states.
         let gen = self.generation;
-        for i in 0..self.sod_list.len() {
-            let s = self.sod_list[i];
+        for i in 0..self.net.sod.len() {
+            let s = self.net.sod[i];
             if self.stamp[s as usize] != gen {
                 self.stamp[s as usize] = gen;
                 self.cur.push(s);
@@ -363,7 +287,7 @@ impl NfaEngine {
             // Dynamically enabled states.
             for ci in 0..self.cur.len() {
                 let s = self.cur[ci] as usize;
-                if !self.classes[s].contains(c) {
+                if !self.net.classes[s].contains(c) {
                     continue;
                 }
                 matched_count += 1;
@@ -425,9 +349,9 @@ impl NfaEngine {
         if self.code_idx[s] == NO_CODE_IDX {
             return 0;
         }
-        let code = self.report_code[s];
+        let code = self.net.report_code[s];
         let idx = self.code_idx[s] as usize;
-        if self.report_eod[s] && !last {
+        if self.net.report_eod[s] && !last {
             if maybe_last
                 && self.code_stamp[idx] != gen
                 && !self.pending_scratch.iter().any(|&(i, _)| i == idx as u32)
@@ -448,10 +372,7 @@ impl NfaEngine {
     /// here — they report in `settle_counters`).
     #[inline]
     fn activate(&mut self, s: usize, gen: u32) {
-        let lo = self.succ_off[s] as usize;
-        let hi = self.succ_off[s + 1] as usize;
-        for ei in lo..hi {
-            let raw = self.succ_tgt[ei];
+        for &raw in self.net.successors(s) {
             let reset = raw & PORT_BIT != 0;
             let t = (raw & !PORT_BIT) as usize;
             if self.is_counter[t] {
@@ -464,7 +385,7 @@ impl NfaEngine {
                 } else {
                     self.cnt_enable[ci] = true;
                 }
-            } else if !self.is_always[t] && self.stamp[t] != gen {
+            } else if !self.net.is_always[t] && self.stamp[t] != gen {
                 self.stamp[t] = gen;
                 self.next.push(t as u32);
             }
@@ -486,8 +407,8 @@ impl NfaEngine {
         while ti < self.touched.len() {
             let ci = self.touched[ti] as usize;
             ti += 1;
-            let def_target = self.counters[ci].target;
-            let mode = self.counters[ci].mode;
+            let def_target = self.net.counters[ci].target;
+            let mode = self.net.counters[ci].mode;
             let mut fired = false;
             if self.cnt_reset[ci] {
                 self.counts[ci] = 0;
@@ -535,7 +456,7 @@ impl NfaEngine {
     }
 
     fn counter_element(&self, ci: usize) -> usize {
-        self.counter_elem_ids[ci] as usize
+        self.net.counters[ci].elem as usize
     }
 }
 
@@ -547,7 +468,7 @@ impl StreamingEngine for NfaEngine {
 
     fn stream_quiesced(&self) -> bool {
         // After a reset the active set holds exactly the seeded
-        // start-of-data states (`sod_list` is duplicate-free); everything
+        // start-of-data states (`net.sod` is duplicate-free); everything
         // dynamic — counter values, latches, pending enable/reset pulses,
         // held-back `$` reports, per-cycle scratch, the stream offset —
         // must be at zero.
@@ -561,8 +482,8 @@ impl StreamingEngine for NfaEngine {
             && self.latched_list.is_empty()
             && !self.latched.iter().any(|&l| l)
             && self.counts.iter().all(|&c| c == 0)
-            && self.cur.len() == self.sod_list.len()
-            && self.cur.iter().all(|s| self.sod_list.contains(s))
+            && self.cur.len() == self.net.sod.len()
+            && self.cur.iter().all(|s| self.net.sod.contains(s))
     }
 
     fn feed(&mut self, chunk: &[u8], eod: bool, sink: &mut dyn ReportSink) {
@@ -596,7 +517,7 @@ impl Engine for NfaEngine {
 mod tests {
     use super::*;
     use crate::sink::{CollectSink, CountSink};
-    use azoo_core::SymbolClass;
+    use azoo_core::{StartKind, SymbolClass};
 
     #[test]
     fn state_count_reflects_elements() {

@@ -63,12 +63,9 @@ const FALLBACK_DFA_CLASS_CAP: usize = 64;
 /// One gated component's compiled form, shared by every clone.
 #[derive(Debug)]
 struct GatedComponent {
-    /// When set, the component's sole factor *is* its every match: the
-    /// factor starts at a start state (`before == 0`), ends at the only
-    /// report state (`after == 0`), and spans the component's longest
-    /// path, so each accepting path is exactly the factor's chain. A
-    /// trigger hit ending at `e` then reports `(e, code)` directly,
-    /// with no simulation at all.
+    /// The plan's [`exact`](azoo_passes::PrefilterComponent::exact)
+    /// verdict: when set, a trigger hit ending at `e` reports
+    /// `(e, code)` directly, with no simulation at all.
     exact: Option<azoo_core::ReportCode>,
     /// The reset engine a session copies the first time a span reaches
     /// the component.
@@ -339,23 +336,8 @@ impl PrefilterEngine {
                 back = back.max((lit.bytes.len() + lit.before) as u64);
                 fwd = fwd.max(lit.after as u64);
             }
-            let exact = if let [lit] = pc.literals.as_slice() {
-                let reps = pc.automaton.report_states();
-                if lit.before == 0
-                    && lit.after == 0
-                    && lit.bytes.len() == pc.window
-                    && reps.len() == 1
-                    && !pc.automaton.element(reps[0]).report_eod_only
-                {
-                    pc.automaton.element(reps[0]).report
-                } else {
-                    None
-                }
-            } else {
-                None
-            };
             components.push(GatedComponent {
-                exact,
+                exact: pc.exact,
                 engine: NfaEngine::new(&pc.automaton)?,
                 back,
                 fwd,
@@ -548,41 +530,29 @@ impl StreamingEngine for PrefilterEngine {
             for &(s, t) in &self.spans[ci] {
                 let t_clip = t.min(total);
                 let span_eod = eod && t_clip == total;
-                if run.hot && s <= run.simulated_to {
-                    // Continue the live arms from the watermark.
+                // Continue the live arms from the watermark, or restart
+                // cold at the span's start.
+                let from = if run.hot && s <= run.simulated_to {
                     debug_assert!(s >= run.last_span_base);
-                    let mut ssink = RebaseSink {
-                        base: run.last_span_base,
-                        min: run.simulated_to,
-                        out: &mut self.reports,
-                    };
-                    if run.simulated_to < base {
-                        let back = (base - run.simulated_to) as usize;
-                        debug_assert!(back <= self.tail.len());
-                        let tail_part = &self.tail[self.tail.len() - back..];
-                        engine.feed(tail_part, false, &mut ssink);
-                    }
-                    let c0 = (run.simulated_to.max(base) - base) as usize;
-                    let c1 = (t_clip.max(base) - base) as usize;
-                    engine.feed(&chunk[c0..c1], span_eod, &mut ssink);
+                    run.simulated_to
                 } else {
                     engine.reset_stream();
-                    let mut ssink = RebaseSink {
-                        base: s,
-                        min: run.simulated_to,
-                        out: &mut self.reports,
-                    };
-                    if s < base {
-                        let back = (base - s) as usize;
-                        debug_assert!(back <= self.tail.len());
-                        let tail_part = &self.tail[self.tail.len() - back..];
-                        engine.feed(tail_part, false, &mut ssink);
-                    }
-                    let c0 = (s.max(base) - base) as usize;
-                    let c1 = (t_clip.max(base) - base) as usize;
-                    engine.feed(&chunk[c0..c1], span_eod, &mut ssink);
                     run.last_span_base = s;
+                    s
+                };
+                let mut ssink = RebaseSink {
+                    base: run.last_span_base,
+                    min: run.simulated_to,
+                    out: &mut self.reports,
+                };
+                if from < base {
+                    let back = (base - from) as usize;
+                    debug_assert!(back <= self.tail.len());
+                    engine.feed(&self.tail[self.tail.len() - back..], false, &mut ssink);
                 }
+                let c0 = (from.max(base) - base) as usize;
+                let c1 = (t_clip.max(base) - base) as usize;
+                engine.feed(&chunk[c0..c1], span_eod, &mut ssink);
                 run.simulated_to = t_clip;
                 run.hot = true;
                 run.open_until = if t > total && !eod { t } else { 0 };

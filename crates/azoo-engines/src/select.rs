@@ -8,7 +8,7 @@
 //! sparse NFA engine.
 //! [`select_session_engine`] encodes that portfolio policy.
 
-use azoo_core::{Automaton, ElementKind, Port};
+use azoo_core::{stats::longest_path_from_starts, Automaton, ElementKind};
 
 use crate::{
     BitParallelEngine, EngineError, LazyDfaEngine, NfaEngine, ParallelScanner, PrefilterEngine,
@@ -64,7 +64,7 @@ fn preflight(a: &Automaton) -> Result<(), EngineError> {
 
 /// Detects the layered edit-distance mesh shape `azoo_passes::mesh`
 /// builds (for azoo-fuzzy and the zoo's Hamming, Levenshtein and CRISPR
-/// filters): counter-free, acyclic, and dominated by Σ / near-Σ
+/// filters): counter-free, acyclic from its starts, and dominated by Σ / near-Σ
 /// error-track states. Returns the wide-class state count when the
 /// shape matches. Random Forest's feature-range chains match too: their
 /// classes are wide byte ranges.
@@ -95,30 +95,9 @@ fn fuzzy_layered_shape(a: &Automaton) -> Option<usize> {
     if wide < 16 || wide * 4 < a.state_count() {
         return None;
     }
-    // Kahn toposort over activate edges: any cycle disqualifies.
-    let mut indegree = vec![0usize; a.state_count()];
-    for (id, _) in a.iter() {
-        for edge in a.successors(id) {
-            if edge.port == Port::Activate {
-                indegree[edge.to.index()] += 1;
-            }
-        }
-    }
-    let mut queue: Vec<usize> = (0..a.state_count()).filter(|&i| indegree[i] == 0).collect();
-    let mut seen = 0usize;
-    while let Some(i) = queue.pop() {
-        seen += 1;
-        for edge in a.successors(azoo_core::StateId::new(i)) {
-            if edge.port == Port::Activate {
-                let j = edge.to.index();
-                indegree[j] -= 1;
-                if indegree[j] == 0 {
-                    queue.push(j);
-                }
-            }
-        }
-    }
-    (seen == a.state_count()).then_some(wide)
+    // A cycle a start can reach disqualifies; one no start reaches
+    // never runs.
+    longest_path_from_starts(a).is_some().then_some(wide)
 }
 
 /// The prefilter tier's admission gate for `pf`, as a coverage
@@ -552,6 +531,22 @@ mod tests {
             prev = Some(s);
         }
         a.set_report(prev.unwrap(), 0);
+        assert!(fuzzy_layered_shape(&a).is_none());
+    }
+
+    #[test]
+    fn only_a_start_reachable_cycle_disqualifies_the_mesh_shape() {
+        // A cycle no start reaches never runs, so it leaves the shape
+        // alone; giving it a start makes it a reachable cycle.
+        let mut a = mesh();
+        let wide = fuzzy_layered_shape(&a).expect("mesh-shaped");
+        let x = a.add_ste(SymbolClass::from_byte(b'x'), StartKind::None);
+        let y = a.add_ste(SymbolClass::from_byte(b'y'), StartKind::None);
+        a.add_edge(x, y);
+        a.add_edge(y, x);
+        assert_eq!(fuzzy_layered_shape(&a), Some(wide));
+        let z = a.add_ste(SymbolClass::from_byte(b'z'), StartKind::AllInput);
+        a.add_edge(z, x);
         assert!(fuzzy_layered_shape(&a).is_none());
     }
 

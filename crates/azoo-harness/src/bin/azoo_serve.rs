@@ -8,9 +8,13 @@
 //!            [--max-bytes N]             global bytes-in-flight cap
 //!            [--max-tenant-bytes N]      per-tenant bytes-in-flight cap
 //!            [--max-buffered-reports N]  per-session undrained-report cap
-//!            [--deadline-ms N]           feed deadline (0 = disabled)
+//!            [--deadline-ms N]           feed deadline (absent = none)
 //!            [--metrics-json PATH]       also write the final snapshot here
 //! ```
+//!
+//! Every `N` must be a positive integer: `0` or a non-number prints a
+//! usage line and exits 2, since a zero cap would refuse every session
+//! or every non-empty feed.
 //!
 //! Clients ship their own compiled databases as `OPEN` artifacts (or
 //! reuse a cached key), so the server is ruleset-agnostic. It runs until
@@ -23,30 +27,27 @@
 
 use std::time::Duration;
 
-use azoo_harness::{arg_value, write_metrics_json};
+use azoo_harness::{arg_value, positive_arg, write_metrics_json};
 use azoo_serve::{Listener, ScanService, ServeLimits, Server};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let mut limits = ServeLimits::default();
-    if let Some(n) = parse(&args, "--max-sessions") {
-        limits.max_sessions = n as usize;
-    }
-    if let Some(n) = parse(&args, "--max-tenant-sessions") {
-        limits.max_sessions_per_tenant = n as usize;
-    }
-    if let Some(n) = parse(&args, "--max-bytes") {
-        limits.max_bytes_in_flight = n;
-    }
-    if let Some(n) = parse(&args, "--max-tenant-bytes") {
-        limits.max_bytes_in_flight_per_tenant = n;
-    }
-    if let Some(n) = parse(&args, "--max-buffered-reports") {
-        limits.max_buffered_reports = n as usize;
-    }
-    if let Some(ms) = parse(&args, "--deadline-ms") {
-        limits.feed_deadline = (ms > 0).then(|| Duration::from_millis(ms));
-    }
+    let l = &mut limits;
+    l.max_sessions = positive_arg(&args, "--max-sessions", l.max_sessions);
+    l.max_sessions_per_tenant =
+        positive_arg(&args, "--max-tenant-sessions", l.max_sessions_per_tenant);
+    l.max_bytes_in_flight =
+        positive_arg(&args, "--max-bytes", l.max_bytes_in_flight as usize) as u64;
+    l.max_bytes_in_flight_per_tenant = positive_arg(
+        &args,
+        "--max-tenant-bytes",
+        l.max_bytes_in_flight_per_tenant as usize,
+    ) as u64;
+    l.max_buffered_reports = positive_arg(&args, "--max-buffered-reports", l.max_buffered_reports);
+    // Absent is the only way to read 0 here: no deadline.
+    let deadline_ms = positive_arg(&args, "--deadline-ms", 0) as u64;
+    l.feed_deadline = (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms));
 
     let listener = match (arg_value(&args, "--unix"), arg_value(&args, "--tcp")) {
         (Some(path), None) => Listener::bind_unix(std::path::Path::new(&path))
@@ -72,13 +73,6 @@ fn main() {
     // Graceful exit (SHUTDOWN frame): print the final snapshot.
     println!("{}", metrics.to_json_string());
     write_metrics_json(&args, &metrics);
-}
-
-fn parse(args: &[String], flag: &str) -> Option<u64> {
-    arg_value(args, flag).map(|v| {
-        v.parse()
-            .unwrap_or_else(|_| fatal(&format!("{flag} expects an integer, got {v:?}")))
-    })
 }
 
 fn fatal(msg: &str) -> ! {

@@ -20,14 +20,15 @@
 use azoo_core::stats::{
     component_profiles, prefilter_analysis, ComponentPrefilter, RequiredLiteral,
 };
-use azoo_core::{Automaton, Port};
+use azoo_core::{Automaton, Port, ReportCode};
 
 /// Shortest required factor worth triggering on. Shorter factors hit so
 /// often that windowed simulation costs more than fully simulating the
 /// component in the fallback remainder — unless the factor is the
 /// component's *entire* match (single factor, `before == after == 0`,
-/// spanning the longest path, one non-eod report state), in which case
-/// trigger hits are reports and cost nothing beyond the scan.
+/// spanning the longest path, one non-eod report state; see
+/// [`PrefilterComponent::exact`]), in which case trigger hits are
+/// reports and cost nothing beyond the scan.
 pub const MIN_STRONG_LITERAL: usize = 4;
 
 /// One prefilterable component, detached into its own automaton.
@@ -41,6 +42,14 @@ pub struct PrefilterComponent {
     /// Required factors; every match of this component contains one of
     /// them, located by the factor's `before`/`after` span geometry.
     pub literals: Vec<RequiredLiteral>,
+    /// The report code when the component's sole factor *is* its every
+    /// match: the factor starts at a start state (`before == 0`), ends
+    /// at the only report state (`after == 0`), which is not end-of-data
+    /// gated, and spans the longest path (`window`), so each accepting
+    /// path is exactly the factor's chain. A factor occurrence ending at
+    /// `e` is then the report `(e, code)`. Such components are kept
+    /// however short their factor.
+    pub exact: Option<ReportCode>,
 }
 
 /// The full prefilter plan for an automaton.
@@ -97,13 +106,16 @@ pub fn prefilter_plan(a: &Automaton) -> PrefilterPlan {
     let labels = &comps.labels;
 
     // Per-component report shape, for the exact-match carve-out of the
-    // short-factor demotion rule (component index == label).
+    // short-factor demotion rule (component index == label): the code of
+    // the component's only report state, unless that is end-of-data
+    // gated.
     let mut rep_count = vec![0usize; analysis.len()];
-    let mut rep_eod = vec![false; analysis.len()];
+    let mut sole_report = vec![None; analysis.len()];
     for (id, e) in a.iter() {
-        if e.report.is_some() {
-            rep_count[labels[id.index()]] += 1;
-            rep_eod[labels[id.index()]] |= e.report_eod_only;
+        if let Some(code) = e.report {
+            let ci = labels[id.index()];
+            rep_count[ci] += 1;
+            sole_report[ci] = (rep_count[ci] == 1 && !e.report_eod_only).then_some(code);
         }
     }
 
@@ -124,13 +136,14 @@ pub fn prefilter_plan(a: &Automaton) -> PrefilterPlan {
             }
             Some(lits) => {
                 let window = cp.profile.window.unwrap_or(0);
-                let exact = matches!(
-                    lits.as_slice(),
-                    [l] if l.before == 0 && l.after == 0 && l.bytes.len() == window
-                ) && rep_count[ci] == 1
-                    && !rep_eod[ci];
+                let exact = match lits.as_slice() {
+                    [l] if l.before == 0 && l.after == 0 && l.bytes.len() == window => {
+                        sole_report[ci]
+                    }
+                    _ => None,
+                };
                 let min_len = lits.iter().map(|l| l.bytes.len()).min().unwrap_or(0);
-                if !exact && min_len < MIN_STRONG_LITERAL {
+                if exact.is_none() && min_len < MIN_STRONG_LITERAL {
                     bucket_of.push(Bucket::Fallback);
                     fallback_states += states;
                     demoted_components += 1;
@@ -142,6 +155,7 @@ pub fn prefilter_plan(a: &Automaton) -> PrefilterPlan {
                         automaton: Automaton::new(),
                         window,
                         literals: lits.clone(),
+                        exact,
                     });
                 }
             }
@@ -200,7 +214,7 @@ pub fn prefilter_plan(a: &Automaton) -> PrefilterPlan {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use azoo_core::{CounterMode, StartKind, SymbolClass};
+    use azoo_core::{CounterMode, StartKind, StateId, SymbolClass};
 
     fn word(a: &mut Automaton, w: &[u8], code: u32) {
         let classes: Vec<SymbolClass> = w.iter().map(|&b| SymbolClass::from_byte(b)).collect();
@@ -261,6 +275,22 @@ mod tests {
         assert_eq!(fb.state_count(), 3);
         assert_eq!(fb.counter_count(), 1);
         fb.validate().unwrap();
+    }
+
+    #[test]
+    fn exact_components_carry_their_code_and_escape_demotion() {
+        let mut a = Automaton::new();
+        word(&mut a, b"ab", 3); // exact, short: kept
+        word(&mut a, b"cd", 4);
+        let gated = StateId::new(a.state_count() - 1);
+        a.set_report_eod_only(gated, true); // not exact: demoted
+        word(&mut a, b"long_word", 7);
+        let last = StateId::new(a.state_count() - 1);
+        a.set_report_eod_only(last, true); // not exact, but strong
+        let plan = prefilter_plan(&a);
+        let exact: Vec<Option<ReportCode>> = plan.components.iter().map(|c| c.exact).collect();
+        assert_eq!(exact, vec![Some(ReportCode(3)), None]);
+        assert_eq!(plan.demoted_components, 1);
     }
 
     #[test]
