@@ -14,7 +14,8 @@
 //! * [`PrefilterEngine`] — a literal-prefilter engine: components whose
 //!   matches must contain a *required literal* are gated behind an
 //!   Aho–Corasick trigger and simulated only in a bounded window around
-//!   each candidate hit; everything else falls back to full simulation.
+//!   each candidate hit; everything else is fully simulated, on a lazy
+//!   DFA or the NFA.
 //! * [`BitParallelEngine`] — the bit-vector tier for edit-distance
 //!   meshes: a machine whose every component rebuilds exactly as an
 //!   azoo-fuzzy Levenshtein or Hamming mesh runs one `u64` lane per
@@ -119,6 +120,22 @@ where
 {
     fn clone_session(&self) -> Box<dyn SessionEngine> {
         Box::new(self.clone())
+    }
+}
+
+/// A boxed engine clones through [`SessionEngine::clone_session`], so an
+/// engine may hold its sub-engines boxed and still derive `Clone`.
+impl Clone for Box<dyn SessionEngine> {
+    fn clone(&self) -> Self {
+        (**self).clone_session()
+    }
+}
+
+/// Names the tier, so an engine holding boxed sub-engines can derive
+/// `Debug`.
+impl std::fmt::Debug for dyn SessionEngine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "SessionEngine({})", self.name())
     }
 }
 

@@ -39,54 +39,14 @@ use crate::nfa::NfaEngine;
 use crate::prefilter::PrefilterEngine;
 use crate::sink::{RebaseSink, Report, ReportSink};
 use crate::stream::StreamingEngine;
-use crate::{prefilter_gate, Engine, EngineError};
-
-/// A shard's executor: literal-gated windowed simulation when the
-/// shard's components carry required literals (opted in via
-/// [`ParallelScanner::with_prefilter`]), plain sparse simulation
-/// otherwise.
-#[derive(Debug, Clone)]
-enum ShardEngine {
-    Nfa(Box<NfaEngine>),
-    Prefilter(Box<PrefilterEngine>),
-}
-
-impl ShardEngine {
-    fn scan(&mut self, input: &[u8], sink: &mut dyn ReportSink) {
-        match self {
-            ShardEngine::Nfa(e) => e.scan(input, sink),
-            ShardEngine::Prefilter(e) => e.scan(input, sink),
-        }
-    }
-
-    fn reset_stream(&mut self) {
-        match self {
-            ShardEngine::Nfa(e) => e.reset_stream(),
-            ShardEngine::Prefilter(e) => e.reset_stream(),
-        }
-    }
-
-    fn feed(&mut self, chunk: &[u8], eod: bool, sink: &mut dyn ReportSink) {
-        match self {
-            ShardEngine::Nfa(e) => e.feed(chunk, eod, sink),
-            ShardEngine::Prefilter(e) => e.feed(chunk, eod, sink),
-        }
-    }
-
-    fn stream_quiesced(&self) -> bool {
-        match self {
-            ShardEngine::Nfa(e) => e.stream_quiesced(),
-            ShardEngine::Prefilter(e) => e.stream_quiesced(),
-        }
-    }
-}
+use crate::{prefilter_gate, Engine, EngineError, SessionEngine};
 
 /// One automaton shard plus its chunking capability.
 #[derive(Debug, Clone)]
 struct Shard {
-    /// Prototype engine; cloned per job during `scan`, fed in place
-    /// during streaming.
-    engine: ShardEngine,
+    /// Prototype engine (see [`build_shard_engine`]); cloned per worker
+    /// during `scan`, fed in place during streaming.
+    engine: Box<dyn SessionEngine>,
     /// `Some(w)` means input-chunkable with a `w`-symbol overlap; `None`
     /// means the shard must scan the input sequentially (components with
     /// counters, reachable cycles or `StartOfData` anchors).
@@ -307,12 +267,12 @@ impl ParallelScanner {
             // lock (rank ENGINE_MERGE) exactly once, after their last
             // job — one contended acquisition per worker, not per report.
             let merge_acc = OrderedMutex::new(ranks::ENGINE_MERGE, Vec::new());
-            let (queue, jobs, shards) = (&queue, &jobs[..], &self.shards[..]);
+            let (queue, jobs) = (&queue, &jobs[..]);
             let merge = &merge_acc;
             crossbeam::thread::scope(|scope| {
                 for _ in 0..workers {
+                    let mut worker = Worker::new(&self.shards);
                     scope.spawn(move |_| {
-                        let mut worker = Worker::new(shards);
                         let mut out = Vec::new();
                         loop {
                             let j = queue.fetch_add(1, Ordering::Relaxed);
@@ -386,38 +346,42 @@ impl ParallelScanner {
     }
 }
 
-fn build_shard_engine(p: &Automaton, prefilter: bool) -> Result<ShardEngine, EngineError> {
+/// A shard's executor: the prefilter when `prefilter` is on and
+/// [`prefilter_gate`] admits the shard, plain sparse simulation
+/// otherwise.
+fn build_shard_engine(
+    p: &Automaton,
+    prefilter: bool,
+) -> Result<Box<dyn SessionEngine>, EngineError> {
     if prefilter {
         let pf = PrefilterEngine::new(p)?;
         if pf.coverage() >= prefilter_gate(&pf) {
-            return Ok(ShardEngine::Prefilter(Box::new(pf)));
+            return Ok(Box::new(pf));
         }
     }
-    Ok(ShardEngine::Nfa(Box::new(NfaEngine::new(p)?)))
+    Ok(Box::new(NfaEngine::new(p)?))
 }
 
-/// Per-thread job executor. Keeps one engine clone per shard so a worker
-/// that draws several chunks of the same shard allocates it only once
-/// (both `scan` and `reset_stream`/`feed` restart from initial state, so
-/// reuse across jobs is sound).
-struct Worker<'a> {
-    shards: &'a [Shard],
-    engines: Vec<Option<ShardEngine>>,
+/// Per-thread job executor. Holds one engine clone per shard, taken on
+/// the spawning thread (a boxed engine is `Send` but not `Sync`, so a
+/// worker cannot clone from the shared prototypes), and reuses it for
+/// every job of that shard (both `scan` and `reset_stream`/`feed`
+/// restart from initial state, so reuse across jobs is sound).
+struct Worker {
+    engines: Vec<Box<dyn SessionEngine>>,
 }
 
-impl<'a> Worker<'a> {
-    fn new(shards: &'a [Shard]) -> Self {
+impl Worker {
+    fn new(shards: &[Shard]) -> Self {
         Worker {
-            shards,
-            engines: vec![None; shards.len()],
+            engines: shards.iter().map(|s| s.engine.clone()).collect(),
         }
     }
 
     /// Executes one job, appending the reports it owns (absolute
     /// offsets) to `out`.
     fn run_job(&mut self, job: Job, input: &[u8], out: &mut Vec<Report>) {
-        let engine =
-            self.engines[job.shard].get_or_insert_with(|| self.shards[job.shard].engine.clone());
+        let engine = &mut self.engines[job.shard];
         let Some(window) = job.window else {
             engine.scan(input, out);
             return;
@@ -506,7 +470,7 @@ mod tests {
     }
 
     fn prefiltered_shards(scanner: &ParallelScanner) -> usize {
-        let is_pf = |s: &&Shard| matches!(s.engine, ShardEngine::Prefilter(_));
+        let is_pf = |s: &&Shard| s.engine.name() == "prefilter";
         scanner.shards.iter().filter(is_pf).count()
     }
 

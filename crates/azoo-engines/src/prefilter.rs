@@ -4,12 +4,13 @@
 //! [`azoo_passes::prefilter_plan`]: components whose every match must
 //! contain a *required factor* — a forced byte chain with known
 //! `before`/`after` span geometry (see
-//! [`azoo_core::stats::RequiredLiteral`]) — are gated behind an
-//! [`AhoCorasick`](crate::literal::AhoCorasick) matcher and simulated
-//! only inside a bounded span around each candidate hit; the rejected
-//! remainder falls back to full simulation ([`NfaEngine`], or
-//! [`LazyDfaEngine`] when the remainder determinizes well). Components
-//! with no reachable reporting element are dropped outright.
+//! [`azoo_core::stats::RequiredLiteral`]) — are gated behind one
+//! [`AhoCorasick`](crate::literal::AhoCorasick) trigger over every
+//! factor and simulated only inside a bounded span around each candidate
+//! hit. The rejected remainder is fully simulated: on a
+//! [`LazyDfaEngine`] when it is counter-free, acyclic from its starts
+//! and has at most 64 byte classes, on the [`NfaEngine`] otherwise.
+//! Components with no reachable reporting element are dropped outright.
 //!
 //! # Soundness
 //!
@@ -41,17 +42,15 @@
 
 use std::sync::Arc;
 
-use azoo_core::{stats::longest_path_from_starts, Automaton};
-use azoo_passes::prefilter_plan;
+use azoo_core::Automaton;
+use azoo_passes::{prefilter_plan, PrefilterPlan};
 
 use crate::lazy_dfa::LazyDfaEngine;
-use azoo_simd::{Teddy, TeddyMatch};
-
 use crate::literal::{AhoCorasick, LiteralHit};
 use crate::nfa::NfaEngine;
 use crate::sink::{RebaseSink, Report, ReportSink};
 use crate::stream::StreamingEngine;
-use crate::{Engine, EngineError};
+use crate::{Engine, EngineError, SessionEngine};
 
 /// Widest compressed alphabet for which the fallback remainder is
 /// simulated with a lazy DFA instead of the NFA. Wildcard-heavy
@@ -100,173 +99,47 @@ struct ComponentRun {
     eod_flushed: bool,
 }
 
-/// The full-simulation engine behind the gated components.
-#[derive(Debug, Clone)]
-enum FallbackSim {
-    Nfa(Box<NfaEngine>),
-    Dfa(Box<LazyDfaEngine>),
-}
-
-impl FallbackSim {
-    /// Picks an engine for the remainder: a lazy DFA when the remainder
-    /// is counter-free, acyclic from its starts, and its compressed
-    /// alphabet is narrow (all statically checkable predictors of a
-    /// small, fast subset automaton); otherwise the NFA.
-    fn build(fb: &Automaton) -> Result<FallbackSim, EngineError> {
-        if longest_path_from_starts(fb).is_some() && fb.counter_count() == 0 {
-            if let Ok(dfa) = LazyDfaEngine::new(fb) {
-                if dfa.alphabet_classes() <= FALLBACK_DFA_CLASS_CAP {
-                    return Ok(FallbackSim::Dfa(Box::new(dfa)));
-                }
-            }
-        }
-        Ok(FallbackSim::Nfa(Box::new(NfaEngine::new(fb)?)))
-    }
-
-    fn feed(&mut self, chunk: &[u8], eod: bool, sink: &mut dyn ReportSink) {
-        match self {
-            FallbackSim::Nfa(e) => e.feed(chunk, eod, sink),
-            FallbackSim::Dfa(e) => e.feed(chunk, eod, sink),
-        }
-    }
-
-    fn reset_stream(&mut self) {
-        match self {
-            FallbackSim::Nfa(e) => e.reset_stream(),
-            FallbackSim::Dfa(e) => e.reset_stream(),
-        }
-    }
-
-    fn stream_quiesced(&self) -> bool {
-        match self {
-            FallbackSim::Nfa(e) => e.stream_quiesced(),
-            FallbackSim::Dfa(e) => e.stream_quiesced(),
-        }
-    }
-
-    fn is_dfa(&self) -> bool {
-        matches!(self, FallbackSim::Dfa(_))
-    }
-}
-
-/// The multi-literal trigger scanner: a vectorized Teddy prefilter when
-/// the literal set is small enough for its nibble masks and the host has
-/// SIMD, the Aho–Corasick automaton otherwise.
+/// The engine for the plan's fallback remainder, if it has one: a lazy
+/// DFA when the remainder is counter-free, acyclic from its starts and
+/// its compressed alphabet is narrow (all statically checkable
+/// predictors of a small, fast subset automaton); otherwise the NFA.
 ///
-/// Teddy is stateless per scan, so streaming keeps a seam carry of the
-/// last `max_len - 1` stream bytes and rescans it ahead of each chunk; a
-/// hit is new exactly when its *end* lands in the new chunk (anything
-/// ending earlier was found by the previous feed, whose scan covered
-/// every byte before `base`). Hits are re-sorted by end position because
-/// Teddy reports in start order and pattern lengths differ.
-#[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)] // one per engine; boxing buys nothing
-enum Trigger {
-    Ac(AhoCorasick),
-    Teddy {
-        teddy: Teddy,
-        /// Pattern lengths, indexed as fed to [`Teddy::new`].
-        pat_len: Vec<u32>,
-        /// Longest pattern length (seam carry is `max_len - 1` bytes).
-        max_len: usize,
-        carry: Vec<u8>,
-        buf: Vec<u8>,
-        scratch: Vec<TeddyMatch>,
-    },
-}
-
-impl Trigger {
-    fn build_with(patterns: &[Vec<u8>], level: azoo_simd::SimdLevel) -> Trigger {
-        // Teddy pays off only when its vector kernels run; under
-        // forced-scalar (or on non-SIMD hosts) the scalar twin would
-        // re-derive candidates byte-at-a-time, slower than one AC step.
-        if level > azoo_simd::SimdLevel::Scalar {
-            if let Some(teddy) = Teddy::new(patterns) {
-                let pat_len = patterns.iter().map(|p| p.len() as u32).collect();
-                let max_len = patterns.iter().map(Vec::len).max().unwrap_or(1);
-                return Trigger::Teddy {
-                    teddy,
-                    pat_len,
-                    max_len,
-                    carry: Vec::new(),
-                    buf: Vec::new(),
-                    scratch: Vec::new(),
-                };
-            }
-        }
-        Trigger::Ac(AhoCorasick::new(patterns))
-    }
-
-    fn kind(&self) -> &'static str {
-        match self {
-            Trigger::Ac(_) => "aho-corasick",
-            Trigger::Teddy { .. } => "teddy",
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            Trigger::Ac(m) => m.reset(),
-            Trigger::Teddy { carry, .. } => carry.clear(),
-        }
-    }
-
-    fn quiesced(&self) -> bool {
-        match self {
-            Trigger::Ac(m) => m.is_at_root(),
-            Trigger::Teddy { carry, .. } => carry.is_empty(),
-        }
-    }
-
-    /// Emits this chunk's hits in nondecreasing end order, `base` being
-    /// the chunk's global offset.
-    fn feed(&mut self, chunk: &[u8], base: u64, hits: &mut Vec<LiteralHit>) {
-        match self {
-            Trigger::Ac(m) => m.feed(chunk, base, hits),
-            Trigger::Teddy {
-                teddy,
-                pat_len,
-                max_len,
-                carry,
-                buf,
-                scratch,
-            } => {
-                buf.clear();
-                buf.extend_from_slice(carry);
-                buf.extend_from_slice(chunk);
-                let buf_base = base - carry.len() as u64;
-                scratch.clear();
-                teddy.find(buf, scratch);
-                for m in scratch.iter() {
-                    let end =
-                        buf_base + m.start as u64 + u64::from(pat_len[m.pattern as usize]) - 1;
-                    if end >= base {
-                        hits.push(LiteralHit {
-                            end,
-                            pattern: m.pattern,
-                        });
-                    }
-                }
-                hits.sort_unstable_by_key(|h| (h.end, h.pattern));
-                let keep = buf.len().min(*max_len - 1);
-                carry.clear();
-                carry.extend_from_slice(&buf[buf.len() - keep..]);
+/// The remainder holds the components the analysis rejected plus the
+/// demoted ones, which passed it and so are counter-free and acyclic
+/// already: the first two conditions are read off the rejected
+/// components' profiles.
+fn build_fallback(plan: &PrefilterPlan) -> Result<Option<Box<dyn SessionEngine>>, EngineError> {
+    let Some(fb) = &plan.fallback else {
+        return Ok(None);
+    };
+    let determinizes = plan
+        .analysis
+        .iter()
+        .filter(|c| c.literals.is_none())
+        .all(|c| c.profile.window.is_some() && !c.profile.has_counter);
+    if determinizes {
+        if let Ok(dfa) = LazyDfaEngine::new(fb) {
+            if dfa.alphabet_classes() <= FALLBACK_DFA_CLASS_CAP {
+                return Ok(Some(Box::new(dfa)));
             }
         }
     }
+    Ok(Some(Box::new(NfaEngine::new(fb)?)))
 }
 
 /// Literal-gated windowed simulation with full-simulation fallback.
 #[derive(Debug, Clone)]
 pub struct PrefilterEngine {
-    matcher: Trigger,
+    /// The trigger: one Aho–Corasick automaton over every gated
+    /// component's factors, streaming across feeds.
+    matcher: AhoCorasick,
     /// Pattern index (as fed to the matcher) → gated component index.
     pat_comp: Vec<u32>,
     /// Compiled components, immutable and shared by clones.
     components: Arc<[GatedComponent]>,
     /// Per-component streaming state, indexed like `components`.
     runs: Vec<ComponentRun>,
-    fallback: Option<FallbackSim>,
+    fallback: Option<Box<dyn SessionEngine>>,
     coverage: f64,
     /// `max(back) − 1`: how many trailing stream bytes a span can reach
     /// back past a chunk boundary.
@@ -293,35 +166,17 @@ pub struct PrefilterEngine {
 impl PrefilterEngine {
     /// Plans and compiles the prefilter for `a`.
     ///
-    /// Construction succeeds for any valid automaton — with nothing
-    /// prefilterable the engine degenerates to a plain [`NfaEngine`]
-    /// behind a never-matching trigger;
-    /// [`prefilter_gate`](crate::prefilter_gate) decides whether the
-    /// result is worthwhile.
+    /// Construction succeeds for any valid automaton. With nothing
+    /// prefilterable the trigger never fires and the whole (non-dropped)
+    /// machine is the fallback remainder, which still gets a lazy DFA
+    /// when it qualifies ([`fallback_engine`](Self::fallback_engine)
+    /// says which); [`prefilter_gate`](crate::prefilter_gate) decides
+    /// whether the result is worthwhile.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::Invalid`] if `a` fails validation.
     pub fn new(a: &Automaton) -> Result<Self, EngineError> {
-        Self::build_for_level(a, azoo_simd::level())
-    }
-
-    /// [`new`](Self::new) with the trigger pinned to the scalar tier: the
-    /// literal matcher is always the Aho–Corasick automaton, never Teddy,
-    /// regardless of host SIMD. The report stream is identical either
-    /// way; the oracle and the prefilter bench use this configuration to
-    /// differentiate the two trigger paths inside one process (the
-    /// `AZOO_FORCE_SCALAR` environment variable covers the whole-process
-    /// equivalent).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Invalid`] if `a` fails validation.
-    pub fn with_scalar_trigger(a: &Automaton) -> Result<Self, EngineError> {
-        Self::build_for_level(a, azoo_simd::SimdLevel::Scalar)
-    }
-
-    fn build_for_level(a: &Automaton, level: azoo_simd::SimdLevel) -> Result<Self, EngineError> {
         a.validate()?;
         let plan = prefilter_plan(a);
         let mut patterns: Vec<Vec<u8>> = Vec::new();
@@ -343,10 +198,7 @@ impl PrefilterEngine {
                 fwd,
             });
         }
-        let fallback = match &plan.fallback {
-            Some(fb) => Some(FallbackSim::build(fb)?),
-            None => None,
-        };
+        let fallback = build_fallback(&plan)?;
         let keep = components
             .iter()
             .filter(|c| c.exact.is_none())
@@ -356,7 +208,7 @@ impl PrefilterEngine {
             .saturating_sub(1);
         let n_comp = components.len();
         Ok(PrefilterEngine {
-            matcher: Trigger::build_with(&patterns, level),
+            matcher: AhoCorasick::new(&patterns),
             pat_comp,
             components: components.into(),
             runs: vec![ComponentRun::default(); n_comp],
@@ -390,12 +242,6 @@ impl PrefilterEngine {
         self.pat_comp.len()
     }
 
-    /// Which literal matcher drives the gate: `"teddy"` (vectorized
-    /// nibble-mask prefilter) or `"aho-corasick"` (the scalar trigger).
-    pub fn trigger_kind(&self) -> &'static str {
-        self.matcher.kind()
-    }
-
     /// Number of gated components whose matches are exactly their factor
     /// (reported straight from trigger hits, no simulation).
     pub fn exact_component_count(&self) -> usize {
@@ -407,11 +253,10 @@ impl PrefilterEngine {
         self.fallback.is_some()
     }
 
-    /// Name of the engine simulating the fallback remainder, if any.
+    /// Name of the engine simulating the fallback remainder, if any:
+    /// `"lazy-dfa"` or `"nfa"`.
     pub fn fallback_engine(&self) -> Option<&'static str> {
-        self.fallback
-            .as_ref()
-            .map(|fb| if fb.is_dfa() { "lazy-dfa" } else { "nfa" })
+        self.fallback.as_ref().map(|fb| fb.name())
     }
 }
 
@@ -441,7 +286,7 @@ impl StreamingEngine for PrefilterEngine {
             && self.tail.is_empty()
             && self.tail_reports.is_empty()
             && self.live.is_empty()
-            && self.matcher.quiesced()
+            && self.matcher.is_at_root()
             && self.runs.iter().all(|r| {
                 r.simulated_to == 0
                     && r.last_span_base == 0
@@ -700,6 +545,52 @@ mod tests {
         let mut sink = CollectSink::new();
         engine.scan(input, &mut sink);
         assert_eq!(sink.reports(), nfa_reports(&a, input));
+    }
+
+    #[test]
+    fn the_remainder_gets_a_lazy_dfa_only_when_it_determinizes() {
+        // A start-anchored chain is rejected (so it is the remainder)
+        // but acyclic and counter-free, over three byte classes.
+        fn anchored(a: &mut Automaton, w: &[u8], code: u32) {
+            let classes: Vec<SymbolClass> = w.iter().map(|&b| SymbolClass::from_byte(b)).collect();
+            let (_, last) = a.add_chain(&classes, StartKind::StartOfData);
+            a.set_report(last, code);
+        }
+        let fallback = |a: &Automaton| {
+            let engine = PrefilterEngine::new(a).unwrap();
+            let input: Vec<u8> = b"qr xyyy lit ".iter().copied().chain(0..=255).collect();
+            let mut sink = CollectSink::new();
+            engine.clone().scan(&input, &mut sink);
+            assert_eq!(sink.reports(), nfa_reports(a, &input));
+            engine.fallback_engine()
+        };
+        let mut narrow = Automaton::new();
+        word(&mut narrow, b"lit", 0);
+        anchored(&mut narrow, b"qr", 1);
+        assert_eq!(fallback(&narrow), Some("lazy-dfa"));
+
+        // A cycle its start reaches: no finite subset automaton bound.
+        let mut cyclic = narrow.clone();
+        let s = cyclic.add_ste(SymbolClass::from_byte(b'x'), StartKind::AllInput);
+        let l = cyclic.add_ste(SymbolClass::from_byte(b'y'), StartKind::None);
+        cyclic.add_edge(s, l);
+        cyclic.add_edge(l, l);
+        cyclic.set_report(l, 2);
+        assert_eq!(fallback(&cyclic), Some("nfa"));
+
+        // 70 distinct bytes split the alphabet into 71 classes.
+        let mut wide = narrow.clone();
+        let bytes: Vec<u8> = (b'0'..b'0' + 70).collect();
+        anchored(&mut wide, &bytes, 3);
+        assert_eq!(fallback(&wide), Some("nfa"));
+
+        // The same cycle reporting nothing is dropped, not simulated.
+        let mut silent = narrow.clone();
+        let s = silent.add_ste(SymbolClass::from_byte(b'x'), StartKind::AllInput);
+        let l = silent.add_ste(SymbolClass::from_byte(b'y'), StartKind::None);
+        silent.add_edge(s, l);
+        silent.add_edge(l, l);
+        assert_eq!(fallback(&silent), Some("lazy-dfa"));
     }
 
     #[test]

@@ -31,8 +31,9 @@ pub enum EngineChoice {
     // on the deleted Sheng tier; ROADMAP N1 deletes it.
     #[doc(hidden)]
     Sheng,
-    /// The literal-prefilter engine (windowed simulation gated behind an
-    /// Aho–Corasick trigger, with NFA fallback for rejected components).
+    /// The literal-prefilter engine: windowed simulation gated behind an
+    /// Aho–Corasick trigger, with the rejected components fully simulated
+    /// on a lazy DFA or the sparse NFA.
     Prefilter,
     /// The sparse active-set NFA engine.
     Nfa,
@@ -180,10 +181,9 @@ pub fn select_session_engine_explained(
     let gate = prefilter_gate(&engine);
     if engine.coverage() >= gate {
         let reason = format!(
-            "literal coverage {:.2} >= gate {gate:.2} ({} literals, {} trigger)",
+            "literal coverage {:.2} >= gate {gate:.2} ({} literals)",
             engine.coverage(),
-            engine.literal_count(),
-            engine.trigger_kind()
+            engine.literal_count()
         );
         return Ok((EngineChoice::Prefilter, reason, Box::new(engine)));
     }

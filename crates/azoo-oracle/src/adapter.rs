@@ -30,14 +30,10 @@ pub enum EngineKind {
         /// DFA cache bound, 0 for the default.
         max_states: usize,
     },
-    /// Literal-prefilter gated engine with the ambient trigger (the
-    /// vectorized Teddy scanner when the literal set fits and the host
-    /// has SIMD, Aho–Corasick otherwise).
+    /// Literal-prefilter gated engine: an Aho–Corasick trigger, windowed
+    /// simulation of the gated components, and a lazy DFA or the NFA on
+    /// the rejected remainder.
     Prefilter,
-    /// Literal-prefilter engine with the trigger pinned to the scalar
-    /// Aho–Corasick matcher. Divergence between this and
-    /// [`Prefilter`](EngineKind::Prefilter) is exactly a Teddy trigger bug.
-    PrefilterScalarTrigger,
     /// Bit-vector tier (Myers / Shift-Add lanes); applies only to
     /// machines whose every component rebuilds as an edit-distance mesh.
     BitParallel,
@@ -63,7 +59,6 @@ impl EngineKind {
             EngineKind::LazyDfa { max_states: 3 },
             EngineKind::LazyDfa { max_states: 17 },
             EngineKind::Prefilter,
-            EngineKind::PrefilterScalarTrigger,
             EngineKind::BitParallel,
             EngineKind::Parallel {
                 threads: 2,
@@ -95,7 +90,6 @@ impl EngineKind {
             EngineKind::LazyDfa { max_states: 0 } => "lazydfa".into(),
             EngineKind::LazyDfa { max_states } => format!("lazydfa:{max_states}"),
             EngineKind::Prefilter => "prefilter".into(),
-            EngineKind::PrefilterScalarTrigger => "prefilter-scalar".into(),
             EngineKind::BitParallel => "bitpar".into(),
             EngineKind::Parallel {
                 threads,
@@ -127,7 +121,6 @@ impl EngineKind {
                 max_states: num(0)?,
             }),
             "prefilter" if arg.is_none() => Some(EngineKind::Prefilter),
-            "prefilter-scalar" if arg.is_none() => Some(EngineKind::PrefilterScalarTrigger),
             "bitpar" if arg.is_none() => Some(EngineKind::BitParallel),
             // `parallel:0` is rejected here rather than surfacing the
             // engine's InvalidThreads later: the oracle treats build
@@ -184,9 +177,6 @@ impl EngineUnderTest {
                 LazyDfaEngine::with_max_states(a, max_states).map(boxed)
             }
             EngineKind::Prefilter => PrefilterEngine::new(a).map(boxed),
-            EngineKind::PrefilterScalarTrigger => {
-                PrefilterEngine::with_scalar_trigger(a).map(boxed)
-            }
             EngineKind::BitParallel => BitParallelEngine::new(a).map(boxed),
             EngineKind::Parallel { threads, prefilter } => {
                 ParallelScanner::with_prefilter(a, threads, prefilter).map(boxed)

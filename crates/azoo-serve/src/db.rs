@@ -43,7 +43,6 @@
 //! and fail its checks rather than being answered from the cache.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use azoo_core::{content_hash, mnrl, Automaton, CoreError, HASH_VERSION};
@@ -408,8 +407,10 @@ fn parse_header(bytes: &[u8]) -> Result<(u64, DbConfig, &[u8]), DbError> {
 /// Shared in-memory database cache, keyed by [`Db::cache_key`].
 ///
 /// N sessions opening the same artifact share one `Arc<Db>` — one
-/// compiled machine, one engine pool. Hit/miss counts are plain atomics;
-/// the map lock is held only for a hash-map operation.
+/// compiled machine, one engine pool. The map lock is held only for a
+/// hash-map operation. The cache keeps no counters: callers see each
+/// hit or miss in the return value and count it where they report it
+/// (`azoo-serve`'s `MetricsRegistry`).
 ///
 /// The artifact hit path ([`DbCache::get_or_load`]) is only allowed to
 /// skip the decode when the presented bytes fingerprint-match the bytes
@@ -421,16 +422,12 @@ pub struct DbCache {
     /// Rank DB_CACHE: lowest rank in the workspace — the cache map may
     /// be consulted on any path, so nothing may be held across it.
     map: OrderedMutex<HashMap<u64, CacheEntry>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl Default for DbCache {
     fn default() -> Self {
         DbCache {
             map: OrderedMutex::new(ranks::DB_CACHE, HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 }
@@ -472,19 +469,9 @@ impl DbCache {
         Self::default()
     }
 
-    /// Looks up a database by cache key, counting a hit or miss.
+    /// Looks up a database by cache key.
     pub fn get(&self, key: u64) -> Option<Arc<Db>> {
-        let found = self.map.lock().get(&key).map(|e| e.db.clone());
-        match found {
-            Some(db) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(db)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.map.lock().get(&key).map(|e| e.db.clone())
     }
 
     /// Inserts (or replaces) a database under a caller-chosen key —
@@ -538,10 +525,7 @@ impl DbCache {
             Some(CacheEntry {
                 db,
                 artifact_fp: ArtifactFp::Known(known),
-            }) if *known == fp => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((db.clone(), true));
-            }
+            }) if *known == fp => return Ok((db.clone(), true)),
             Some(CacheEntry {
                 db,
                 artifact_fp: ArtifactFp::Deferred,
@@ -559,11 +543,9 @@ impl DbCache {
                 }
             }
             if own == fp {
-                self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok((db, true));
             }
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let db = Db::deserialize(bytes)?;
         sched::point("cache:loaded");
         self.map.lock().insert(
@@ -574,16 +556,6 @@ impl DbCache {
             },
         );
         Ok((db, false))
-    }
-
-    /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Cache misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
     }
 
     /// Number of cached databases.
@@ -796,7 +768,6 @@ mod tests {
         // The second lookup compares against the stored fingerprint.
         let (found, hit) = cache.get_or_load(&bytes).expect("load");
         assert!(hit && Arc::ptr_eq(&found, &db));
-        assert_eq!((cache.hits(), cache.misses()), (2, 0));
     }
 
     #[test]
@@ -841,8 +812,6 @@ mod tests {
         assert!(!hit1);
         assert!(hit2);
         assert!(Arc::ptr_eq(&db1, &db2));
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
         assert_eq!(cache.len(), 1);
     }
 }

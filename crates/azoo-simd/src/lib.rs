@@ -1,17 +1,19 @@
 //! Vectorized scanning kernels with runtime CPU dispatch.
 //!
-//! The engine portfolio's inner loops — multi-literal triggering and
-//! wake-byte search — are memory-light and branch-light, which makes them the
-//! natural place to spend SIMD. This crate packages two such kernels:
+//! Wake-byte search, the NFA engine's inner loop while it is quiescent, is
+//! memory-light and branch-light, which makes it the natural place to spend
+//! SIMD. This crate packages two kernels:
 //!
-//! * [`Teddy`] — a Teddy-style multi-literal prefilter: the first bytes of up
-//!   to 64 literals are packed into per-position nibble masks (≤ 8 buckets),
-//!   scanned 16 (SSSE3) or 32 (AVX2) bytes per step with `pshufb`, and
-//!   candidates are verified in place. Used as the trigger scanner of the
-//!   literal-prefilter engine.
 //! * [`ByteFinder`] — the quiescent-skip wake-byte search: `memchr`-style
 //!   scans for 1–3 bytes, and a Truffle-style two-`pshufb` classifier for
 //!   arbitrary byte sets.
+//! * [`Teddy`] — a Teddy-style multi-literal prefilter: the first bytes of up
+//!   to 64 literals are packed into per-position nibble masks (≤ 8 buckets),
+//!   scanned 16 (SSSE3) or 32 (AVX2) bytes per step with `pshufb`, and
+//!   candidates are verified in place. No engine runs it — the
+//!   literal-prefilter engine triggers on Aho–Corasick at every level — but
+//!   azoo-perf's `simd.teddy_*` rows time it, so it stays until that
+//!   benchmark changes.
 //!
 //! # Dispatch and the scalar twins
 //!
