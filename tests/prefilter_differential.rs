@@ -28,16 +28,6 @@ fn sorted_reports(engine: &mut dyn Engine, input: &[u8]) -> Vec<Report> {
     sink.sorted_reports()
 }
 
-fn streamed_reports<E: StreamingEngine>(
-    engine: &mut E,
-    input: &[u8],
-    chunk_len: usize,
-) -> Vec<Report> {
-    let mut sink = CollectSink::new();
-    engine.scan_chunks(input.chunks(chunk_len), &mut sink);
-    sink.sorted_reports()
-}
-
 /// Strategy: a random counter-free automaton over `{a..d}` with random
 /// edges (cycles included), start kinds, and report codes — the same
 /// shape family as `tests/differential.rs`, which exercises every
@@ -179,8 +169,7 @@ fn every_cut_through_a_literal_matches() {
 }
 
 /// The whole suite: all 27 benchmarks at tiny scale, block scans and
-/// uneven and 1-byte streaming chunks, quiescent skip and prefilter vs
-/// baseline.
+/// uneven streaming chunks, quiescent skip and prefilter vs baseline.
 #[test]
 fn all_benchmarks_match_baseline() {
     for id in BenchmarkId::ALL {
@@ -205,29 +194,25 @@ fn all_benchmarks_match_baseline() {
             id.name()
         );
 
-        // Streaming in uneven chunks: prime-sized ones drift through
-        // literals over the whole window; 1-byte feeds cost a full feed
-        // cycle per symbol, so they run over a shorter prefix and cut
-        // every literal at every byte. The engines are reused from the
-        // block scans to also prove reset_stream fully clears
-        // quiescence/gate state.
-        let prefix = &input[..input.len().min(600)];
-        let prefix_reference = baseline_reports(&bench.automaton, prefix);
-        for (chunk_len, window, expected) in
-            [(997, input, &reference), (1, prefix, &prefix_reference)]
-        {
-            assert_eq!(
-                expected,
-                &streamed_reports(&mut skip, window, chunk_len),
-                "streaming quiescent skip diverged on {} (chunks of {chunk_len})",
-                id.name()
-            );
-            assert_eq!(
-                expected,
-                &streamed_reports(&mut pf, window, chunk_len),
-                "streaming prefilter diverged on {} (chunks of {chunk_len})",
-                id.name()
-            );
-        }
+        // Streaming in uneven chunks (prime size so boundaries drift
+        // through literals); engines are reused from the block scans to
+        // also prove reset_stream fully clears quiescence/gate state.
+        let chunks: Vec<&[u8]> = input.chunks(997).collect();
+        let mut sink = CollectSink::new();
+        skip.scan_chunks(chunks.clone(), &mut sink);
+        assert_eq!(
+            reference,
+            sink.sorted_reports(),
+            "streaming quiescent skip diverged on {}",
+            id.name()
+        );
+        let mut sink = CollectSink::new();
+        pf.scan_chunks(chunks, &mut sink);
+        assert_eq!(
+            reference,
+            sink.sorted_reports(),
+            "streaming prefilter diverged on {}",
+            id.name()
+        );
     }
 }

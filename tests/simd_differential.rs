@@ -4,11 +4,18 @@
 //! `*_with` entry points, pinning both sides of each comparison — the
 //! ambient [`level`](automatazoo::simd::level) is cached per process, so
 //! the `AZOO_FORCE_SCALAR=1` path is exercised by a dedicated CI job
-//! running this whole suite forced scalar. The engine built on the
-//! kernels, the NFA's wake-byte skip, is compared against the baseline
-//! in `tests/prefilter_differential.rs`.
+//! running this whole suite forced scalar. The engines built on the
+//! kernels — the NFA's wake-byte skip, and the literal prefilter whose
+//! remainder runs on it — are compared against the baseline NFA on every
+//! benchmark in the suite, in block mode and across streaming chunk
+//! boundaries.
 
+use automatazoo::core::Automaton;
+use automatazoo::engines::{
+    CollectSink, Engine, NfaEngine, PrefilterEngine, Report, StreamingEngine,
+};
 use automatazoo::simd::{supported, ByteFinder, SimdLevel, Teddy, TeddyMatch};
+use automatazoo::zoo::{BenchmarkId, Scale};
 use proptest::prelude::*;
 
 /// Every distinct dispatch tier the host can execute. The scalar twin is
@@ -94,6 +101,92 @@ proptest! {
                 expected,
                 "byte finder diverged at {:?}",
                 level
+            );
+        }
+    }
+}
+
+fn baseline_reports(a: &Automaton, input: &[u8]) -> Vec<Report> {
+    let mut engine = NfaEngine::new(a).expect("valid");
+    engine.set_quiescent_skip(false);
+    let mut sink = CollectSink::new();
+    engine.scan(input, &mut sink);
+    sink.sorted_reports()
+}
+
+/// Feeds `window` in `chunk_len`-byte pieces (one empty final feed for an
+/// empty window) after a `reset_stream`, so a reused engine must also
+/// clear every carried wake-skip and gate state.
+fn fed_reports<E: StreamingEngine>(engine: &mut E, window: &[u8], chunk_len: usize) -> Vec<Report> {
+    let chunks: Vec<&[u8]> = if window.is_empty() {
+        vec![window]
+    } else {
+        window.chunks(chunk_len).collect()
+    };
+    let mut sink = CollectSink::new();
+    engine.reset_stream();
+    let last = chunks.len() - 1;
+    for (i, chunk) in chunks.iter().enumerate() {
+        engine.feed(chunk, i == last, &mut sink);
+    }
+    sink.sorted_reports()
+}
+
+/// The whole suite at tiny scale: on every benchmark, the SIMD-backed
+/// tiers (the NFA's wake-byte skip, the prefilter) match the baseline NFA
+/// in block mode and across uneven streaming chunks (1-byte and
+/// prime-sized cuts drift through every wake byte and literal).
+#[test]
+fn all_benchmarks_match_baseline_on_simd_tiers() {
+    for id in BenchmarkId::ALL {
+        let bench = id.build(Scale::Tiny);
+        let window = bench.input.len().min(4_000);
+        let input = &bench.input[..window];
+        let reference = baseline_reports(&bench.automaton, input);
+
+        // 1-byte feeds cost a full feed cycle per input symbol, so they
+        // run over a shorter prefix; prime-sized chunks cover the whole
+        // window.
+        let tiny_window = &input[..input.len().min(600)];
+        let tiny_reference = baseline_reports(&bench.automaton, tiny_window);
+        let plans = [
+            (997usize, input, &reference),
+            (1, tiny_window, &tiny_reference),
+        ];
+
+        let mut skip = NfaEngine::new(&bench.automaton).expect("valid");
+        let mut sink = CollectSink::new();
+        skip.scan(input, &mut sink);
+        assert_eq!(
+            reference,
+            sink.sorted_reports(),
+            "wake skip diverged on {} (block)",
+            id.name()
+        );
+        for (chunk_len, window, expected) in plans {
+            assert_eq!(
+                expected,
+                &fed_reports(&mut skip, window, chunk_len),
+                "wake skip diverged on {} (chunks of {chunk_len})",
+                id.name()
+            );
+        }
+
+        let mut pf = PrefilterEngine::new(&bench.automaton).expect("valid");
+        let mut sink = CollectSink::new();
+        pf.scan(input, &mut sink);
+        assert_eq!(
+            reference,
+            sink.sorted_reports(),
+            "prefilter diverged on {} (block)",
+            id.name()
+        );
+        for (chunk_len, window, expected) in plans {
+            assert_eq!(
+                expected,
+                &fed_reports(&mut pf, window, chunk_len),
+                "prefilter diverged on {} (chunks of {chunk_len})",
+                id.name()
             );
         }
     }
